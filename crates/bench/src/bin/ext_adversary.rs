@@ -16,15 +16,19 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::ext_adversary;
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check(
+            "ext_adversary",
+            ext_adversary::smoke_digest,
+            ext_adversary::SEED,
+        );
         return;
     }
     if std::env::args().any(|a| a == "--gate") {
-        gate();
+        ext_adversary::gate(&ext_adversary::run_grid()).enforce("ext_adversary");
         return;
     }
 
@@ -67,45 +71,4 @@ fn main() {
         Ok(()) => println!("merged ext_adversary into BENCH_harness.json"),
         Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_adversary::smoke_digest(ext_adversary::SEED);
-    let second = ext_adversary::smoke_digest(ext_adversary::SEED);
-    let reseeded = ext_adversary::smoke_digest(ext_adversary::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_adversary smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_adversary smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_adversary smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
-}
-
-/// The CI release gate: run the full grid, print every bound, exit
-/// nonzero if any failed.
-fn gate() {
-    let rows = ext_adversary::run_grid();
-    let report = ext_adversary::gate(&rows);
-    for check in &report.checks {
-        println!(
-            "[{}] {:<48} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    if !report.passed() {
-        eprintln!("ext_adversary gate FAILED");
-        std::process::exit(1);
-    }
-    println!("ext_adversary gate: all bounds hold");
 }

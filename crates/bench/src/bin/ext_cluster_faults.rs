@@ -9,11 +9,15 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::ext_cluster_faults;
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check(
+            "ext_cluster_faults",
+            ext_cluster_faults::smoke_digest,
+            ext_cluster_faults::SEED,
+        );
         return;
     }
 
@@ -43,25 +47,4 @@ fn main() {
         Ok(()) => println!("merged ext_cluster_faults into BENCH_harness.json"),
         Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_cluster_faults::smoke_digest(ext_cluster_faults::SEED);
-    let second = ext_cluster_faults::smoke_digest(ext_cluster_faults::SEED);
-    let reseeded = ext_cluster_faults::smoke_digest(ext_cluster_faults::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_cluster_faults smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_cluster_faults smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_cluster_faults smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
 }

@@ -15,15 +15,15 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::ext_disagg;
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check("ext_disagg", ext_disagg::smoke_digest, ext_disagg::SEED);
         return;
     }
     if std::env::args().any(|a| a == "--gate") {
-        gate();
+        ext_disagg::gate(&ext_disagg::run_grid()).enforce("ext_disagg");
         return;
     }
 
@@ -76,45 +76,4 @@ fn main() {
         Ok(()) => println!("merged ext_disagg into BENCH_harness.json"),
         Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_disagg::smoke_digest(ext_disagg::SEED);
-    let second = ext_disagg::smoke_digest(ext_disagg::SEED);
-    let reseeded = ext_disagg::smoke_digest(ext_disagg::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_disagg smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_disagg smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_disagg smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
-}
-
-/// The CI release gate: run the full grid, print every bound, exit
-/// nonzero if any failed.
-fn gate() {
-    let rows = ext_disagg::run_grid();
-    let report = ext_disagg::gate(&rows);
-    for check in &report.checks {
-        println!(
-            "[{}] {:<44} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    if !report.passed() {
-        eprintln!("ext_disagg gate FAILED");
-        std::process::exit(1);
-    }
-    println!("ext_disagg gate: all bounds hold");
 }

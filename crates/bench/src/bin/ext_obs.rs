@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::{ext_cluster_faults, ext_faults, ext_obs};
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 use powermed_cluster::control::FleetObsOptions;
 use powermed_telemetry::journal::ObsConfig;
 
@@ -28,7 +28,12 @@ const DEFAULT_GATE: f64 = 0.05;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check("ext_obs", ext_obs::smoke_digest, ext_faults::SEED);
+        smoke_check(
+            "ext_obs fleet",
+            ext_obs::fleet_smoke_digest,
+            ext_cluster_faults::SEED,
+        );
         return;
     }
     let gate = args
@@ -217,48 +222,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit
-/// (CI diffs two invocations' stdout), a different seed must not.
-fn smoke() {
-    let first = ext_obs::smoke_digest(ext_faults::SEED);
-    let second = ext_obs::smoke_digest(ext_faults::SEED);
-    let reseeded = ext_obs::smoke_digest(ext_faults::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_obs smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_obs smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!("ext_obs smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})");
-
-    // The fleet timeline's determinism witness: the merged timeline of
-    // a short flight-recorded cluster run must be byte-identical across
-    // same-seed processes (CI diffs two invocations' stdout), and a
-    // reseeded run must not be.
-    let fleet_first = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED);
-    let fleet_second = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED);
-    let fleet_reseeded = ext_obs::fleet_smoke_digest(ext_cluster_faults::SEED + 1);
-    if fleet_first != fleet_second {
-        eprintln!(
-            "ext_obs fleet smoke FAILED: same-seed timelines diverged \
-             ({fleet_first:#018x} vs {fleet_second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if fleet_first == fleet_reseeded {
-        eprintln!(
-            "ext_obs fleet smoke FAILED: reseeded timeline did not diverge ({fleet_first:#018x})"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "ext_obs fleet smoke: deterministic ({fleet_first:#018x}), \
-         reseeded diverges ({fleet_reseeded:#018x})"
-    );
 }

@@ -15,15 +15,15 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::ext_traffic;
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check("ext_traffic", ext_traffic::smoke_digest, ext_traffic::SEED);
         return;
     }
     if std::env::args().any(|a| a == "--gate") {
-        gate();
+        ext_traffic::gate(&ext_traffic::run_grid()).enforce("ext_traffic");
         return;
     }
 
@@ -91,45 +91,4 @@ fn main() {
         Ok(()) => println!("merged ext_traffic into BENCH_harness.json"),
         Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_traffic::smoke_digest(ext_traffic::SEED);
-    let second = ext_traffic::smoke_digest(ext_traffic::SEED);
-    let reseeded = ext_traffic::smoke_digest(ext_traffic::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_traffic smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_traffic smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_traffic smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
-}
-
-/// The CI release gate: run the full grid, print every bound, exit
-/// nonzero if any failed.
-fn gate() {
-    let rows = ext_traffic::run_grid();
-    let report = ext_traffic::gate(&rows);
-    for check in &report.checks {
-        println!(
-            "[{}] {:<44} {}",
-            if check.ok { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    if !report.passed() {
-        eprintln!("ext_traffic gate FAILED");
-        std::process::exit(1);
-    }
-    println!("ext_traffic gate: all bounds hold");
 }

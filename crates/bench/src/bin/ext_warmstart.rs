@@ -13,14 +13,18 @@
 use std::time::Instant;
 
 use powermed_bench::experiments::ext_warmstart;
-use powermed_bench::support::{json_object, HarnessDoc};
+use powermed_bench::support::{json_object, smoke_check, HarnessDoc};
 
 /// Perf-gate budget for the full experiment (release build, CI runner).
 const GATE_SECONDS: f64 = 10.0;
 
 fn main() {
     if std::env::args().any(|a| a == "--smoke") {
-        smoke();
+        smoke_check(
+            "ext_warmstart",
+            ext_warmstart::smoke_digest,
+            ext_warmstart::SEED,
+        );
         return;
     }
 
@@ -78,25 +82,4 @@ fn main() {
         }
         println!("perf gate passed: {secs:.3} s within the {GATE_SECONDS} s budget");
     }
-}
-
-/// The CI determinism check: same seed twice must agree bit-for-bit,
-/// a different seed must not.
-fn smoke() {
-    let first = ext_warmstart::smoke_digest(ext_warmstart::SEED);
-    let second = ext_warmstart::smoke_digest(ext_warmstart::SEED);
-    let reseeded = ext_warmstart::smoke_digest(ext_warmstart::SEED + 1);
-    if first != second {
-        eprintln!(
-            "ext_warmstart smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
-        );
-        std::process::exit(1);
-    }
-    if first == reseeded {
-        eprintln!("ext_warmstart smoke FAILED: reseeded run did not diverge ({first:#018x})");
-        std::process::exit(1);
-    }
-    println!(
-        "ext_warmstart smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})"
-    );
 }

@@ -35,8 +35,8 @@
 //!
 //! Every run is seed-deterministic; [`smoke_digest`] condenses a short
 //! defended defiance run into one hash for `ext_adversary --smoke`.
-//! [`explain_quarantine`] is the journal walk behind
-//! `doctor --explain quarantine`.
+//! `doctor --explain quarantine` replays [`doctor_scenario`] through
+//! [`run_observed`].
 
 use powermed_core::policy::PolicyKind;
 use powermed_core::runtime::PowerMediator;
@@ -45,11 +45,11 @@ use powermed_disagg::EstimatorConfig;
 use powermed_server::ServerSpec;
 use powermed_sim::AdversaryConfig;
 use powermed_telemetry::faults::{AdversaryStats, EstimationStats, TrustStats};
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{Obs, ObsConfig};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::{catalog, AppProfile};
 
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::support::{heading, make_sim, par_map, pct, GateCheck, GateReport, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xBADD;
@@ -304,95 +304,12 @@ pub fn run_observed(
     }
 }
 
-/// The causal chain behind one quarantine, reconstructed from the
-/// journal.
-#[derive(Debug)]
-pub struct QuarantineExplanation {
-    /// The E7 integrity fault the quarantine fired (the effect), when
-    /// journalled.
-    pub fault: Option<EventRecord>,
-    /// The quarantine decision itself.
-    pub quarantine: EventRecord,
-    /// The trust descent that led there: every downgrade of the same
-    /// app before the quarantine, chronological.
-    pub downgrades: Vec<EventRecord>,
-    /// The physics evidence: the app's clamp-bound heartbeat claims
-    /// and clawback polls before the quarantine, chronological.
-    pub evidence: Vec<EventRecord>,
-}
-
-/// Walks `journal` backward from the last `Quarantine` record to the
-/// trust downgrades that descended there and the clamp-bound claims
-/// that armed them. Returns `None` when no quarantine is recorded or
-/// when no downgrade precedes it (a quarantine without a descent
-/// would be a bug, not an explanation).
-pub fn explain_quarantine(journal: &[EventRecord]) -> Option<QuarantineExplanation> {
-    let q_idx = journal
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::Quarantine { .. }))?;
-    let app = match &journal[q_idx].event {
-        ObsEvent::Quarantine { app, .. } => app.clone(),
-        _ => unreachable!(),
-    };
-    let same_app = |r: &&EventRecord| r.event.app() == Some(app.as_str());
-    let downgrades: Vec<EventRecord> = journal[..q_idx]
-        .iter()
-        .filter(|r| matches!(r.event, ObsEvent::TrustDowngrade { .. }))
-        .filter(same_app)
-        .cloned()
-        .collect();
-    if downgrades.is_empty() {
-        return None;
-    }
-    let evidence: Vec<EventRecord> = journal[..q_idx]
-        .iter()
-        .filter(|r| matches!(r.event, ObsEvent::HeartbeatClampBound { .. }))
-        .filter(same_app)
-        .cloned()
-        .collect();
-    let fault = journal[q_idx..]
-        .iter()
-        .find(|r| matches!(r.event, ObsEvent::IntegrityFault { .. }) && same_app(r))
-        .cloned();
-    Some(QuarantineExplanation {
-        fault,
-        quarantine: journal[q_idx].clone(),
-        downgrades,
-        evidence,
-    })
-}
-
 /// Margin on the defended attacker's net gain over honest behavior.
 pub const GATE_GAIN_MARGIN: f64 = 0.02;
 
 /// Margin on the honest apps' mean throughput loss in defended attack
 /// rows, relative to the defended all-honest baseline.
 pub const GATE_HONEST_LOSS_MARGIN: f64 = 0.10;
-
-/// One release-gate check: name, verdict, and the measured detail.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// What is being bounded.
-    pub name: String,
-    /// Whether the bound held.
-    pub ok: bool,
-    /// The measured values, human-readable.
-    pub detail: String,
-}
-
-/// The release-gate verdict over a full grid run.
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Every individual check.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every check held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
 
 /// Evaluates the release bounds over grid `rows`:
 ///
@@ -579,7 +496,8 @@ pub fn print() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::EventJournal;
+    use crate::chain;
+    use powermed_telemetry::journal::{EventJournal, EventRecord, ObsEvent};
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
@@ -694,14 +612,16 @@ mod tests {
             },
         );
         let journal: Vec<EventRecord> = j.iter().cloned().collect();
-        let ex = explain_quarantine(&journal).expect("chain exists");
-        assert_eq!(ex.downgrades.len(), 2, "only kmeans' descent counts");
-        assert_eq!(ex.evidence.len(), 1);
-        assert!(ex.fault.is_some(), "the E7 is part of the chain");
-        assert!(ex.downgrades.iter().all(|d| d.seq < ex.quarantine.seq));
+        let ex = chain::explain_journal("quarantine", &journal, None).expect("chain exists");
+        assert_eq!(ex["downgrades"].len(), 2, "only kmeans' descent counts");
+        assert_eq!(ex["evidence"].len(), 1);
+        assert_eq!(ex["fault"].len(), 1, "the E7 is part of the chain");
+        assert!(ex["downgrades"]
+            .iter()
+            .all(|d| d.record.seq < ex.anchor.record.seq));
 
         // No quarantine, no chain.
-        assert!(explain_quarantine(&journal[..2]).is_none());
+        assert!(chain::explain_journal("quarantine", &journal[..2], None).is_none());
     }
 
     #[test]
@@ -713,8 +633,8 @@ mod tests {
             ObsConfig::default(),
         );
         let journal = out.obs.journal_snapshot();
-        let ex = explain_quarantine(&journal).expect("chain exists");
-        assert!(!ex.downgrades.is_empty());
+        let ex = chain::explain_journal("quarantine", &journal, None).expect("chain exists");
+        assert!(!ex["downgrades"].is_empty());
         // Physics must match the unobserved defended run bit-for-bit.
         let plain = run_one(&doctor_scenario(SEED), true, Seconds::new(15.0));
         assert_eq!(plain.per_app, out.outcome.per_app);

@@ -47,8 +47,8 @@
 //!
 //! Every run is seed-deterministic; [`smoke_digest`] condenses a short
 //! estimated reference run into one hash so CI can diff two
-//! invocations (`ext_disagg --smoke`). [`explain_sensor_fault`] is the
-//! journal walk behind `doctor --explain sensor-fault`.
+//! invocations (`ext_disagg --smoke`). `doctor --explain sensor-fault`
+//! replays [`doctor_scenario`] through [`run_observed`].
 
 use powermed_core::policy::PolicyKind;
 use powermed_core::runtime::PowerMediator;
@@ -59,7 +59,7 @@ use powermed_profiles::{AppFingerprint, ProbeSample, ProfileStore, Provenance, S
 use powermed_server::ServerSpec;
 use powermed_sim::faults::FaultConfig;
 use powermed_telemetry::faults::{EstimationStats, FaultStats, HardeningStats};
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{Obs, ObsConfig};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::catalog;
 use powermed_workloads::mixes::Mix;
@@ -69,7 +69,7 @@ use powermed_workloads::AppProfile;
 use powermed_cf::FoldedRow;
 
 use crate::experiments::ext_faults::{self, trace_digest, SCENARIO_DURATION};
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::support::{heading, make_sim, par_map, pct, GateCheck, GateReport, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xD15A;
@@ -426,64 +426,6 @@ pub fn run_observed(
     }
 }
 
-/// The causal chain behind one estimation-ladder sensor fault,
-/// reconstructed from the journal.
-#[derive(Debug)]
-pub struct SensorFaultExplanation {
-    /// The E6 latch being explained (the effect).
-    pub fault: EventRecord,
-    /// The confidence-fallback engagement that raised it.
-    pub fallback: EventRecord,
-    /// The evidence that armed the ladder, chronological: residual
-    /// spikes (and any sensor-suspect verdicts) since the previous
-    /// fallback release, up to the engagement.
-    pub causes: Vec<EventRecord>,
-}
-
-/// Walks `journal` backward from the last confidence-fallback
-/// engagement to the E6 it raised and the residual spikes that armed
-/// it. Returns `None` when no engagement is recorded, when the
-/// engagement latched no E6, or when the evidence window holds no
-/// residual spike (a fallback without evidence would be a bug, not an
-/// explanation).
-pub fn explain_sensor_fault(journal: &[EventRecord]) -> Option<SensorFaultExplanation> {
-    let fallback_idx = journal
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::FallbackCap { engaged: true, .. }))?;
-    let fault_idx = fallback_idx
-        + journal[fallback_idx..]
-            .iter()
-            .position(|r| matches!(r.event, ObsEvent::SensorFault { .. }))?;
-    // Evidence window: everything after the previous release (the
-    // ladder's spike streak resets there) up to the engagement.
-    let window_start = journal[..fallback_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::FallbackCap { engaged: false, .. }))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let causes: Vec<EventRecord> = journal[window_start..fallback_idx]
-        .iter()
-        .filter(|r| {
-            matches!(
-                r.event,
-                ObsEvent::ResidualSpike { .. } | ObsEvent::SensorSuspect { .. }
-            )
-        })
-        .cloned()
-        .collect();
-    if !causes
-        .iter()
-        .any(|r| matches!(r.event, ObsEvent::ResidualSpike { .. }))
-    {
-        return None;
-    }
-    Some(SensorFaultExplanation {
-        fault: journal[fault_idx].clone(),
-        fallback: journal[fallback_idx].clone(),
-        causes,
-    })
-}
-
 /// Margin on the reference row's mean normalized throughput gap
 /// (estimated vs oracle, absolute).
 pub const GATE_MEAN_MARGIN: f64 = 0.10;
@@ -491,31 +433,6 @@ pub const GATE_MEAN_MARGIN: f64 = 0.10;
 /// Margin on the reference row's extra cap-violation seconds
 /// (estimated minus oracle).
 pub const GATE_VIOLATION_MARGIN_S: f64 = 2.0;
-
-/// One release-gate check: name, verdict, and the measured detail.
-#[derive(Debug, Clone)]
-pub struct GateCheck {
-    /// What is being bounded.
-    pub name: &'static str,
-    /// Whether the bound held.
-    pub ok: bool,
-    /// The measured values, human-readable.
-    pub detail: String,
-}
-
-/// The release-gate verdict over a full grid run.
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Every individual check.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every check held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
 
 /// Evaluates the release bounds over grid `rows`:
 ///
@@ -537,7 +454,7 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
     let viol_gap = ref_est.violation_seconds - ref_oracle.violation_seconds;
     let checks = vec![
         GateCheck {
-            name: "reference throughput gap",
+            name: "reference throughput gap".to_string(),
             ok: mean_gap <= GATE_MEAN_MARGIN,
             detail: format!(
                 "|{:.4} - {:.4}| = {:.4} (margin {GATE_MEAN_MARGIN})",
@@ -545,7 +462,7 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
             ),
         },
         GateCheck {
-            name: "reference violation seconds gap",
+            name: "reference violation seconds gap".to_string(),
             ok: viol_gap <= GATE_VIOLATION_MARGIN_S,
             detail: format!(
                 "{:.2}s - {:.2}s = {:+.2}s (margin {GATE_VIOLATION_MARGIN_S}s)",
@@ -553,12 +470,12 @@ pub fn gate(rows: &[(DisaggScenario, DisaggOutcome, DisaggOutcome)]) -> GateRepo
             ),
         },
         GateCheck {
-            name: "reference escalations (breaker-trip analogue)",
+            name: "reference escalations (breaker-trip analogue)".to_string(),
             ok: ref_est.estimation.escalations == 0,
             detail: format!("{} escalations", ref_est.estimation.escalations),
         },
         GateCheck {
-            name: "clean-run false positives",
+            name: "clean-run false positives".to_string(),
             ok: clean_est.estimation.fallback_engagements == 0
                 && clean_est.hardening.sensor_faults == 0,
             detail: format!(
@@ -662,7 +579,8 @@ pub fn print() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermed_telemetry::journal::EventJournal;
+    use crate::chain;
+    use powermed_telemetry::journal::{EventJournal, EventRecord, ObsEvent};
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
@@ -806,18 +724,22 @@ mod tests {
         );
         let journal: Vec<EventRecord> = j.iter().cloned().collect();
 
-        let ex = explain_sensor_fault(&journal).expect("chain exists");
+        let ex = chain::explain_journal("sensor-fault", &journal, None).expect("chain exists");
         // The walk explains the LAST engagement; its window starts
         // after the release, so only the second round's spike counts.
         // (The journal assigns sequence numbers itself: records 0..8.)
-        assert_eq!(ex.causes.len(), 1);
-        assert_eq!(ex.causes[0].seq, 5);
-        assert_eq!(ex.fallback.seq, 6);
-        assert!(matches!(ex.fault.event, ObsEvent::SensorFault { .. }));
-        assert!(ex.causes.iter().all(|c| c.seq < ex.fallback.seq));
+        let causes = &ex["causes"];
+        assert_eq!(causes.len(), 1);
+        assert_eq!(causes[0].record.seq, 5);
+        assert_eq!(ex.anchor.record.seq, 6);
+        assert!(matches!(
+            ex["fault"][0].record.event,
+            ObsEvent::SensorFault { .. }
+        ));
+        assert!(causes.iter().all(|c| c.record.seq < ex.anchor.record.seq));
 
         // No engagement, no chain.
-        assert!(explain_sensor_fault(&journal[..2]).is_none());
+        assert!(chain::explain_journal("sensor-fault", &journal[..2], None).is_none());
     }
 
     #[test]
@@ -832,12 +754,11 @@ mod tests {
             ObsConfig::default(),
         );
         let journal = out.obs.journal_snapshot();
-        let ex = explain_sensor_fault(&journal).expect("chain exists");
-        assert!(!ex.causes.is_empty());
-        assert!(ex
-            .causes
+        let ex = chain::explain_journal("sensor-fault", &journal, None).expect("chain exists");
+        assert!(!ex["causes"].is_empty());
+        assert!(ex["causes"]
             .iter()
-            .any(|c| matches!(c.event, ObsEvent::ResidualSpike { .. })));
+            .any(|c| matches!(c.record.event, ObsEvent::ResidualSpike { .. })));
         // Physics must match the unobserved estimated run bit-for-bit.
         let plain = run_one(
             &doctor_scenario(SEED),

@@ -36,21 +36,21 @@
 //! split on attainment at equal energy, and mediation must never lose
 //! attainment anywhere on the grid. [`smoke_digest`] condenses a short
 //! cell into one hash for the CI determinism diff (`ext_traffic
-//! --smoke`), and [`explain_slo_miss`] is the journal walk behind
-//! `doctor --explain slo-miss`.
+//! --smoke`), and `doctor --explain slo-miss` replays
+//! [`doctor_scenario`] through [`run_observed`].
 
 use powermed_cluster::fleet::{build_fleet_skus, Fleet};
 use powermed_cluster::manager::ClusterManager;
 use powermed_core::policy::PolicyKind;
 use powermed_core::MeasurementCache;
 use powermed_server::ServerSpec;
-use powermed_telemetry::journal::{EventRecord, Obs, ObsConfig, ObsEvent};
+use powermed_telemetry::journal::{Obs, ObsConfig};
 use powermed_traffic::samplers::zipf_weights;
 use powermed_traffic::source::TrafficConfig;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::support::{heading, par_map, pct, DT};
+use crate::support::{heading, par_map, pct, GateCheck, GateReport, DT};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x70AF_F1C5;
@@ -427,96 +427,6 @@ pub fn run_observed(
     }
 }
 
-/// The causal chain behind one missed SLO window, reconstructed from
-/// the journal.
-#[derive(Debug)]
-pub struct SloMissExplanation {
-    /// The failed window verdict being explained (the effect).
-    pub verdict: EventRecord,
-    /// The control decisions in force when it failed: the last cap
-    /// change and plan before the verdict, the missed app's power
-    /// share under that plan, and any forced throttle of it since.
-    pub decisions: Vec<EventRecord>,
-    /// Demand spikes that landed inside the failed window.
-    pub spikes: Vec<EventRecord>,
-}
-
-/// The start of the SLO window that closed with the verdict at
-/// `miss_idx`: just after `app`'s previous verdict, or the journal's
-/// start on its first window.
-fn window_start(journal: &[EventRecord], miss_idx: usize, app: &str) -> usize {
-    journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::SloWindow { .. }) && r.event.app() == Some(app))
-        .map(|i| i + 1)
-        .unwrap_or(0)
-}
-
-/// Walks `journal` backward from the last failed SLO window (favoring
-/// one with a demand spike inside it) to the plan that was in force
-/// when it failed and the spikes that landed inside the window.
-/// Returns `None` when no window failed or when no plan precedes the
-/// failure (a miss with no plan on record would be a journal bug, not
-/// an explanation).
-pub fn explain_slo_miss(journal: &[EventRecord]) -> Option<SloMissExplanation> {
-    // Prefer the latest miss with a demand spike inside its window (the
-    // richest causal story); fall back to the latest miss outright.
-    let misses: Vec<usize> = journal
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| matches!(r.event, ObsEvent::SloWindow { ok: false, .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let miss_idx = misses
-        .iter()
-        .rev()
-        .find(|&&i| {
-            let Some(app) = journal[i].event.app() else {
-                return false;
-            };
-            let start = window_start(journal, i, app);
-            journal[start..i].iter().any(|r| {
-                matches!(r.event, ObsEvent::DemandSpike { .. }) && r.event.app() == Some(app)
-            })
-        })
-        .or(misses.last())
-        .copied()?;
-    let app = journal[miss_idx].event.app()?.to_string();
-    let plan_idx = journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::Planned { .. }))?;
-    let cap_idx = journal[..miss_idx]
-        .iter()
-        .rposition(|r| matches!(r.event, ObsEvent::CapChanged { .. }));
-    let mut decisions: Vec<EventRecord> = Vec::new();
-    if let Some(ci) = cap_idx {
-        decisions.push(journal[ci].clone());
-    }
-    decisions.push(journal[plan_idx].clone());
-    decisions.extend(
-        journal[plan_idx..miss_idx]
-            .iter()
-            .filter(|r| {
-                matches!(&r.event, ObsEvent::Allocation { app: a, .. } if *a == app)
-                    || matches!(&r.event, ObsEvent::ForceThrottle { app: a } if *a == app)
-            })
-            .cloned(),
-    );
-    let start = window_start(journal, miss_idx, &app);
-    let spikes: Vec<EventRecord> = journal[start..miss_idx]
-        .iter()
-        .filter(|r| {
-            matches!(r.event, ObsEvent::DemandSpike { .. }) && r.event.app() == Some(app.as_str())
-        })
-        .cloned()
-        .collect();
-    Some(SloMissExplanation {
-        verdict: journal[miss_idx].clone(),
-        decisions,
-        spikes,
-    })
-}
-
 /// Attainment the mediated flavor must add over the static split on
 /// the tight heterogeneous cell.
 pub const GATE_ATTAINMENT_MARGIN: f64 = 0.05;
@@ -526,31 +436,6 @@ pub const GATE_REGRESSION_MARGIN: f64 = 0.02;
 
 /// Slack on the fleet energy bound (meter quantization over the day).
 pub const GATE_ENERGY_MARGIN: f64 = 0.01;
-
-/// One released bound.
-#[derive(Debug)]
-pub struct GateCheck {
-    /// What the bound covers.
-    pub name: String,
-    /// Whether it held.
-    pub ok: bool,
-    /// The measured numbers behind the verdict.
-    pub detail: String,
-}
-
-/// The `--gate` verdict: every bound with its measured margin.
-#[derive(Debug)]
-pub struct GateReport {
-    /// All checks, in evaluation order.
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every bound held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-}
 
 /// Evaluates the release bounds on a finished grid.
 pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> GateReport {
@@ -689,6 +574,8 @@ pub fn print() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain;
+    use powermed_telemetry::journal::ObsEvent;
 
     #[test]
     fn grid_covers_both_fleets_at_every_tightness() {
@@ -772,32 +659,29 @@ mod tests {
                 .any(|r| matches!(r.event, ObsEvent::SloWindow { ok: false, .. })),
             "the tightly capped Xeon misses windows"
         );
-        let ex = explain_slo_miss(&journal).expect("a miss with a plan on record");
+        let ex = chain::explain_journal("slo-miss", &journal, None)
+            .expect("a miss with a plan on record");
+        let verdict = &ex.anchor.record;
         assert!(matches!(
-            ex.verdict.event,
+            verdict.event,
             ObsEvent::SloWindow { ok: false, .. }
         ));
-        let app = ex.verdict.event.app().unwrap();
-        assert!(
-            ex.decisions
-                .iter()
-                .any(|r| matches!(r.event, ObsEvent::Planned { .. })),
-            "a plan was in force"
-        );
-        for r in &ex.decisions {
-            if let ObsEvent::Allocation { app: a, .. } = &r.event {
+        let app = verdict.event.app().unwrap();
+        assert_eq!(ex["plan"].len(), 1, "a plan was in force");
+        for r in ex["cap"].iter().chain(&ex["plan"]).chain(&ex["shares"]) {
+            if let ObsEvent::Allocation { app: a, .. } = &r.record.event {
                 assert_eq!(a, app, "only the missed app's share is cited");
             }
-            assert!(r.at <= ex.verdict.at);
+            assert!(r.record.at <= verdict.at);
         }
-        for s in &ex.spikes {
-            assert!(matches!(s.event, ObsEvent::DemandSpike { .. }));
-            assert!(s.at <= ex.verdict.at);
+        for s in &ex["spikes"] {
+            assert!(matches!(s.record.event, ObsEvent::DemandSpike { .. }));
+            assert!(s.record.at <= verdict.at);
         }
     }
 
     #[test]
     fn walker_returns_none_on_an_empty_or_missless_journal() {
-        assert!(explain_slo_miss(&[]).is_none());
+        assert!(chain::explain_journal("slo-miss", &[], None).is_none());
     }
 }

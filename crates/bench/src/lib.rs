@@ -12,5 +12,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod experiments;
 pub mod support;

@@ -262,6 +262,80 @@ pub fn heading(title: &str) {
     println!("\n=== {title} ===");
 }
 
+/// Parses a seed as printed by the harness (`0x`-prefixed hex) or as
+/// decimal; `None` for anything else.
+pub fn parse_seed(text: &str) -> Option<u64> {
+    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => text.parse().ok(),
+    }
+}
+
+/// The determinism check behind every `--smoke` flag: `digest(seed)`
+/// twice must agree bit-for-bit and `digest(seed + 1)` must differ.
+/// Prints the success line, or the failure and exits 1.
+pub fn smoke_check(label: &str, digest: impl Fn(u64) -> u64, seed: u64) {
+    let first = digest(seed);
+    let second = digest(seed);
+    let reseeded = digest(seed + 1);
+    if first != second {
+        eprintln!(
+            "{label} smoke FAILED: same-seed runs diverged ({first:#018x} vs {second:#018x})"
+        );
+        std::process::exit(1);
+    }
+    if first == reseeded {
+        eprintln!("{label} smoke FAILED: reseeded run did not diverge ({first:#018x})");
+        std::process::exit(1);
+    }
+    println!("{label} smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})");
+}
+
+/// One release-gate check: name, verdict, and the measured detail.
+#[derive(Debug, Clone)]
+pub struct GateCheck {
+    /// What is being bounded.
+    pub name: String,
+    /// Whether the bound held.
+    pub ok: bool,
+    /// The measured values, human-readable.
+    pub detail: String,
+}
+
+/// The `--gate` verdict: every check, in evaluation order.
+#[derive(Debug, Clone)]
+pub struct GateReport {
+    /// Every individual check.
+    pub checks: Vec<GateCheck>,
+}
+
+impl GateReport {
+    /// True when every check held.
+    pub fn passed(&self) -> bool {
+        self.checks.iter().all(|c| c.ok)
+    }
+
+    /// Prints every check as `[pass]`/`[FAIL]`, then the verdict for
+    /// `label`; exits 1 when any check failed.
+    pub fn enforce(&self, label: &str) {
+        let width = self
+            .checks
+            .iter()
+            .map(|c| c.name.chars().count())
+            .max()
+            .unwrap_or(0);
+        for c in &self.checks {
+            let mark = if c.ok { "pass" } else { "FAIL" };
+            println!("[{mark}] {:<width$} {}", c.name, c.detail);
+        }
+        if !self.passed() {
+            eprintln!("{label} gate FAILED");
+            std::process::exit(1);
+        }
+        println!("{label} gate: all bounds hold");
+    }
+}
+
 /// Maps `f` over `items` on a small scoped worker pool, returning the
 /// results in input order.
 ///
@@ -340,6 +414,17 @@ mod tests {
         assert!(out.mean_normalized <= 1.05);
         assert!(out.violation_fraction < 0.05);
         assert!(out.power_split.is_some());
+    }
+
+    #[test]
+    fn parse_seed_accepts_hex_and_decimal_only() {
+        assert_eq!(parse_seed("0xbade"), Some(0xbade));
+        assert_eq!(parse_seed("0XBADE"), Some(0xbade));
+        assert_eq!(parse_seed("47838"), Some(47838));
+        assert_eq!(parse_seed("0x70aff1c5"), Some(0x70af_f1c5));
+        for junk in ["banana", "", "0x", "0xzz", "-1", "12abc", "0x1_0"] {
+            assert_eq!(parse_seed(junk), None, "{junk:?}");
+        }
     }
 
     #[test]
