@@ -93,6 +93,11 @@ impl SafeModeWatchdog {
         }
     }
 
+    /// Consecutive over-cap polls before the watchdog engages.
+    pub fn patience(&self) -> u32 {
+        self.patience
+    }
+
     /// Whether safe mode is currently engaged.
     pub fn engaged(&self) -> bool {
         self.engaged
