@@ -240,9 +240,24 @@ pub fn run_one(
     defended: bool,
     duration: Seconds,
 ) -> AdversaryOutcome {
+    run(scenario, defended, duration, None)
+}
+
+/// The experiment loop, with `obs` (when given) attached to the
+/// simulator and the mediator before the first admission.
+fn run(
+    scenario: &AdversaryScenario,
+    defended: bool,
+    duration: Seconds,
+    obs: Option<&Obs>,
+) -> AdversaryOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim = make_sim(&spec, false).with_adversary(scenario.config.clone());
     let mut med = build_mediator(&spec, defended);
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med.set_observability(obs.clone());
+    }
     for app in grid_apps() {
         med.admit(&mut sim, app).expect("three apps fit");
     }
@@ -280,26 +295,15 @@ pub struct AdversaryObserved {
     pub obs: Obs,
 }
 
-/// Runs `scenario` defended with a flight recorder attached. The loop
-/// is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
+/// Runs `scenario` defended with a flight recorder attached.
 pub fn run_observed(
     scenario: &AdversaryScenario,
     duration: Seconds,
     config: ObsConfig,
 ) -> AdversaryObserved {
-    let spec = ServerSpec::xeon_e5_2620();
     let obs = Obs::new(config);
-    let mut sim = make_sim(&spec, false).with_adversary(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let mut med = build_mediator(&spec, true).with_observability(obs.clone());
-    for app in grid_apps() {
-        med.admit(&mut sim, app).expect("three apps fit");
-    }
-    med.run_for(&mut sim, duration, DT);
-    let simulated = (duration.value() / DT.value()).round() * DT.value();
     AdversaryObserved {
-        outcome: score(&sim, &med, scenario, &spec, simulated),
+        outcome: run(scenario, true, duration, Some(&obs)),
         obs,
     }
 }

@@ -299,11 +299,27 @@ pub fn run_one(
     estimated: bool,
     duration: Seconds,
 ) -> DisaggOutcome {
+    run(scenario, mix, estimated, duration, None)
+}
+
+/// The experiment loop, with `obs` (when given) attached to the
+/// simulator and the mediator before the first admission.
+fn run(
+    scenario: &DisaggScenario,
+    mix: &Mix,
+    estimated: bool,
+    duration: Seconds,
+    obs: Option<&Obs>,
+) -> DisaggOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim =
         make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
     let apps = scenario_apps(scenario, mix);
     let mut med = build_mediator(scenario, &spec, &apps, estimated);
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med.set_observability(obs.clone());
+    }
     for app in &apps {
         med.admit(&mut sim, app.clone()).expect("mix fits");
     }
@@ -371,57 +387,16 @@ pub struct DisaggObserved {
     pub obs: Obs,
 }
 
-/// Runs `scenario` estimated with a flight recorder attached. The loop
-/// is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
+/// Runs `scenario` estimated with a flight recorder attached.
 pub fn run_observed(
     scenario: &DisaggScenario,
     mix: &Mix,
     duration: Seconds,
     config: ObsConfig,
 ) -> DisaggObserved {
-    let spec = ServerSpec::xeon_e5_2620();
     let obs = Obs::new(config);
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let apps = scenario_apps(scenario, mix);
-    let mut med = build_mediator(scenario, &spec, &apps, true).with_observability(obs.clone());
-    for app in &apps {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    let mut err_sum = 0.0;
-    let mut err_n = 0u64;
-    for _ in 0..steps {
-        let report = med.step(&mut sim, DT);
-        if let Some(estimate) = med.last_estimate() {
-            for (name, true_w) in &report.breakdown.apps {
-                let est = estimate.apps.get(name).map(|s| s.watts).unwrap_or(0.0);
-                err_sum += (est - true_w.value()).abs();
-                err_n += 1;
-            }
-        }
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
     DisaggObserved {
-        outcome: DisaggOutcome {
-            mean_normalized: mean,
-            violation_seconds: sim.meter().compliance().violation_fraction() * simulated,
-            mean_abs_err_w: err_sum / err_n.max(1) as f64,
-            fault_stats: sim.fault_stats(),
-            hardening: med.hardening_stats(),
-            estimation: med.estimation_stats(),
-            store_invalidations: med.store_stats().invalidations,
-            safe_mode: med.safe_mode(),
-            trace_digest: trace_digest(sim.fault_trace()),
-        },
+        outcome: run(scenario, mix, true, duration, Some(&obs)),
         obs,
     }
 }

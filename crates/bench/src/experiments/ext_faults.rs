@@ -23,6 +23,7 @@ use powermed_core::watchdog::HardeningConfig;
 use powermed_server::ServerSpec;
 use powermed_sim::faults::{FaultConfig, FaultRecord};
 use powermed_telemetry::faults::{FaultStats, HardeningStats};
+use powermed_telemetry::journal::Obs;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
@@ -138,6 +139,22 @@ pub fn reference_mix() -> Mix {
 
 /// Runs one scenario under one runtime flavor for `duration`.
 pub fn run_one(scenario: &Scenario, mix: &Mix, hardened: bool, duration: Seconds) -> FaultOutcome {
+    run_with(scenario, mix, hardened, duration, None, None)
+}
+
+/// The experiment loop behind [`run_one`] and [`run_wobble`]: with
+/// `wobble = Some((lo, period))` the cap alternates between
+/// `scenario.cap` and `lo` every `period`, and `obs` (when given) is
+/// attached to the simulator and the mediator before the first
+/// admission.
+pub fn run_with(
+    scenario: &Scenario,
+    mix: &Mix,
+    hardened: bool,
+    duration: Seconds,
+    wobble: Option<(Watts, Seconds)>,
+    obs: Option<&Obs>,
+) -> FaultOutcome {
     let spec = ServerSpec::xeon_e5_2620();
     let mut sim =
         make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
@@ -145,11 +162,23 @@ pub fn run_one(scenario: &Scenario, mix: &Mix, hardened: bool, duration: Seconds
     if hardened {
         med = med.with_hardening(HardeningConfig::default());
     }
+    if let Some(obs) = obs {
+        sim.set_observability(obs.clone());
+        med.set_observability(obs.clone());
+    }
     for app in mix.apps() {
         med.admit(&mut sim, app.clone()).expect("mix fits");
     }
     let steps = (duration.value() / DT.value()).round() as u64;
-    for _ in 0..steps {
+    let wobble =
+        wobble.map(|(lo, period)| (lo, ((period.value() / DT.value()).round() as u64).max(1)));
+    for step in 0..steps {
+        if let Some((lo, period_steps)) = wobble {
+            if step > 0 && step % period_steps == 0 {
+                let low_phase = (step / period_steps) % 2 == 1;
+                med.set_cap(&mut sim, if low_phase { lo } else { scenario.cap });
+            }
+        }
         med.step(&mut sim, DT);
     }
     let simulated = DT.value() * steps as f64;
@@ -217,40 +246,7 @@ pub fn run_wobble(
     lo: Watts,
     period: Seconds,
 ) -> FaultOutcome {
-    let spec = ServerSpec::xeon_e5_2620();
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    let mut med = PowerMediator::new(scenario.kind, spec.clone(), scenario.cap);
-    if hardened {
-        med = med.with_hardening(HardeningConfig::default());
-    }
-    for app in mix.apps() {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    let period_steps = ((period.value() / DT.value()).round() as u64).max(1);
-    for step in 0..steps {
-        if step > 0 && step % period_steps == 0 {
-            let low_phase = (step / period_steps) % 2 == 1;
-            med.set_cap(&mut sim, if low_phase { lo } else { scenario.cap });
-        }
-        med.step(&mut sim, DT);
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
-    FaultOutcome {
-        mean_normalized: mean,
-        violation_fraction: sim.meter().compliance().violation_fraction(),
-        fault_stats: sim.fault_stats(),
-        hardening: med.hardening_stats(),
-        safe_mode: med.safe_mode(),
-        trace_digest: trace_digest(sim.fault_trace()),
-    }
+    run_with(scenario, mix, hardened, duration, Some((lo, period)), None)
 }
 
 /// Knob-failure rates scanned by the actuation sweep.

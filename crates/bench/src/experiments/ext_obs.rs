@@ -40,17 +40,14 @@ use powermed_cluster::control::{
     PartitionWindow, ResilienceReport,
 };
 use powermed_cluster::manager::ClusterManager;
-use powermed_core::runtime::PowerMediator;
-use powermed_core::watchdog::HardeningConfig;
-use powermed_server::ServerSpec;
 use powermed_telemetry::journal::{Obs, ObsConfig};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::Mix;
 
 use crate::chain;
 use crate::experiments::ext_cluster_faults;
-use crate::experiments::ext_faults::{self, trace_digest, Scenario, SCENARIO_DURATION, SEED};
-use crate::support::{heading, make_sim, DT};
+use crate::experiments::ext_faults::{self, Scenario, SCENARIO_DURATION, SEED};
+use crate::support::heading;
 
 /// The PR 2 reference fault scenario (1% knob failures, 2% meter noise,
 /// faded ESD) at the 80 W ESD-aware operating point — the scenario the
@@ -78,47 +75,18 @@ pub struct ObservedRun {
 }
 
 /// Runs `scenario` hardened with a flight recorder attached for
-/// `duration`. The loop is [`ext_faults::run_one`]'s, verbatim — only
-/// the observability attachment differs.
+/// `duration` through [`ext_faults::run_with`].
 pub fn run_observed(
     scenario: &Scenario,
     mix: &Mix,
     duration: Seconds,
     config: ObsConfig,
 ) -> ObservedRun {
-    let spec = ServerSpec::xeon_e5_2620();
-    let obs = Obs::new(config);
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let mut med = PowerMediator::new(scenario.kind, spec.clone(), scenario.cap)
-        .with_hardening(HardeningConfig::default())
-        .with_observability(obs.clone());
-    for app in mix.apps() {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    for _ in 0..steps {
-        med.step(&mut sim, DT);
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
-    ObservedRun {
-        mean_normalized: mean,
-        violation_fraction: sim.meter().compliance().violation_fraction(),
-        safe_mode: med.safe_mode(),
-        trace_digest: trace_digest(sim.fault_trace()),
-        obs,
-    }
+    observed(scenario, mix, duration, None, config)
 }
 
 /// Like [`run_observed`] but wobbles the cap between `scenario.cap` and
-/// `lo` every `period`, the loop of [`ext_faults::run_wobble`] verbatim.
+/// `lo` every `period`, as [`ext_faults::run_wobble`] does.
 /// This is the overhead benchmark's workload: each cap change replans
 /// the schedule and re-actuates every knob, so the planner and the
 /// knob-write verifier — the runtime's substantial, heavily journaled
@@ -131,38 +99,23 @@ pub fn run_observed_wobble(
     period: Seconds,
     config: ObsConfig,
 ) -> ObservedRun {
-    let spec = ServerSpec::xeon_e5_2620();
+    observed(scenario, mix, duration, Some((lo, period)), config)
+}
+
+fn observed(
+    scenario: &Scenario,
+    mix: &Mix,
+    duration: Seconds,
+    wobble: Option<(Watts, Seconds)>,
+    config: ObsConfig,
+) -> ObservedRun {
     let obs = Obs::new(config);
-    let mut sim =
-        make_sim(&spec, scenario.with_battery).with_fault_injection(scenario.config.clone());
-    sim.set_observability(obs.clone());
-    let mut med = PowerMediator::new(scenario.kind, spec.clone(), scenario.cap)
-        .with_hardening(HardeningConfig::default())
-        .with_observability(obs.clone());
-    for app in mix.apps() {
-        med.admit(&mut sim, app.clone()).expect("mix fits");
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    let period_steps = ((period.value() / DT.value()).round() as u64).max(1);
-    for step in 0..steps {
-        if step > 0 && step % period_steps == 0 {
-            let low_phase = (step / period_steps) % 2 == 1;
-            med.set_cap(&mut sim, if low_phase { lo } else { scenario.cap });
-        }
-        med.step(&mut sim, DT);
-    }
-    let simulated = DT.value() * steps as f64;
-    let mean = mix
-        .apps()
-        .iter()
-        .map(|a| sim.ops_done(a.name()) / (a.uncapped(&spec).throughput * simulated))
-        .sum::<f64>()
-        / mix.apps().len() as f64;
+    let out = ext_faults::run_with(scenario, mix, true, duration, wobble, Some(&obs));
     ObservedRun {
-        mean_normalized: mean,
-        violation_fraction: sim.meter().compliance().violation_fraction(),
-        safe_mode: med.safe_mode(),
-        trace_digest: trace_digest(sim.fault_trace()),
+        mean_normalized: out.mean_normalized,
+        violation_fraction: out.violation_fraction,
+        safe_mode: out.safe_mode,
+        trace_digest: out.trace_digest,
         obs,
     }
 }

@@ -326,6 +326,18 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
 /// at the admission cap, tighten to the flavor's split, attach the
 /// day's traffic, and step every mediator in lockstep.
 pub fn run_one(scenario: &TrafficScenario, mediated: bool, duration: Seconds) -> TrafficOutcome {
+    run(scenario, mediated, duration, None)
+}
+
+/// The experiment loop, with `observed = Some((server, obs))` attaching
+/// the flight recorder to that server's simulator and mediator before
+/// the caps tighten.
+fn run(
+    scenario: &TrafficScenario,
+    mediated: bool,
+    duration: Seconds,
+    observed: Option<(usize, &Obs)>,
+) -> TrafficOutcome {
     let sku = &sku_mixes()[scenario.sku];
     let host_mixes: Vec<Mix> = (1..=sku.specs.len())
         .map(|i| mixes::mix(i).expect("Table II mix"))
@@ -339,6 +351,10 @@ pub fn run_one(scenario: &TrafficScenario, mediated: bool, duration: Seconds) ->
     let total = Watts::new(rated * scenario.tightness);
     let caps = flavor_caps(sku, &host_mixes, total, mediated);
     let mut fleet = build_fleet_skus(&sku.specs, &host_mixes, kind, false, ADMISSION_CAP);
+    if let Some((server, obs)) = observed {
+        fleet.sims[server].set_observability(obs.clone());
+        fleet.mediators[server].set_observability(obs.clone());
+    }
     for (i, cap) in caps.iter().enumerate() {
         fleet.mediators[i].set_cap(&mut fleet.sims[i], *cap);
         fleet.sims[i].attach_traffic(traffic_config(scenario.seed, i));
@@ -384,44 +400,16 @@ pub struct TrafficObserved {
 /// Runs `scenario` mediated with observability on the fleet's middle
 /// server — on the heterogeneous doctor cell, the Xeon: actively
 /// mediated (the parked throughput box logs only an infeasible plan),
-/// so its journal carries the full spike -> plan -> verdict chain. The
-/// loop is [`run_one`]'s, verbatim — only the observability attachment
-/// differs.
+/// so its journal carries the full spike -> plan -> verdict chain.
 pub fn run_observed(
     scenario: &TrafficScenario,
     duration: Seconds,
     config: ObsConfig,
 ) -> TrafficObserved {
-    let sku = &sku_mixes()[scenario.sku];
-    let host_mixes: Vec<Mix> = (1..=sku.specs.len())
-        .map(|i| mixes::mix(i).expect("Table II mix"))
-        .collect();
-    let rated: f64 = sku.specs.iter().map(|s| s.rated_power().value()).sum();
-    let total = Watts::new(rated * scenario.tightness);
-    let caps = flavor_caps(sku, &host_mixes, total, true);
-    let mut fleet = build_fleet_skus(
-        &sku.specs,
-        &host_mixes,
-        PolicyKind::AppResAware,
-        false,
-        ADMISSION_CAP,
-    );
-    let observed_server = sku.specs.len() / 2;
+    let observed_server = sku_mixes()[scenario.sku].specs.len() / 2;
     let obs = Obs::new(config);
-    fleet.sims[observed_server].set_observability(obs.clone());
-    fleet.mediators[observed_server].set_observability(obs.clone());
-    for (i, cap) in caps.iter().enumerate() {
-        fleet.mediators[i].set_cap(&mut fleet.sims[i], *cap);
-        fleet.sims[i].attach_traffic(traffic_config(scenario.seed, i));
-    }
-    let steps = (duration.value() / DT.value()).round() as u64;
-    for _ in 0..steps {
-        for (sim, med) in fleet.sims.iter_mut().zip(fleet.mediators.iter_mut()) {
-            med.step(sim, DT);
-        }
-    }
     TrafficObserved {
-        outcome: score(&fleet, &caps),
+        outcome: run(scenario, true, duration, Some((observed_server, &obs))),
         obs,
         observed_server,
     }
