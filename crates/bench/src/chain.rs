@@ -29,6 +29,7 @@ use Window::{Back, During, Forward, Streak};
 use crate::experiments::{
     ext_adversary, ext_cluster_faults, ext_disagg, ext_faults, ext_obs, ext_traffic,
 };
+use crate::support::parse_seed;
 
 /// The part a stage plays in the causal story; its label prefixes each
 /// printed record.
@@ -325,6 +326,57 @@ fn journal_log(journal: &[EventRecord]) -> Vec<FleetRecord> {
 /// The target named `name`.
 pub fn spec(name: &str) -> Option<&'static Spec> {
     TARGETS.iter().find(|s| s.target == name)
+}
+
+/// The value following `flag` in `args`, if any.
+fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
+}
+
+/// `powermed-bench doctor`: replays a reference scenario with the flight
+/// recorder attached and explains a mediator decision from the journal.
+///
+/// ```text
+/// doctor --explain <target> [--app <name-or-1-based-index>] [--seed N|0xN]
+/// ```
+///
+/// The target (default `throttle`) is one spec in [`TARGETS`]: it names
+/// the reference run to replay, the decision to anchor on, and the
+/// causes, decisions and effects to walk to from it. `--app` picks the
+/// throttled app for `throttle`. `breaker-trip` and `fallback-cap` are
+/// cross-server: they replay a whole fleet with every server shipping
+/// its journal over the control plane and walk the manager's merged
+/// timeline. The chain prints chronologically per stage (sequence
+/// number, poll, sim time, epoch, event). Exits 2 on an unknown target
+/// or a malformed seed, and 1 when the chain cannot be reconstructed.
+pub fn doctor(args: &[String]) {
+    let what = arg_value(args, "--explain").unwrap_or("throttle");
+    let Some(spec) = spec(what) else {
+        let supported: Vec<&str> = TARGETS.iter().map(|s| s.target).collect();
+        eprintln!(
+            "doctor: unknown --explain target {what:?} (supported: {})",
+            supported.join(", ")
+        );
+        std::process::exit(2);
+    };
+    let seed = match arg_value(args, "--seed") {
+        None => spec.seed,
+        Some(v) => parse_seed(v).unwrap_or_else(|| {
+            eprintln!("doctor: --seed takes a decimal or 0x-prefixed hex u64, got {v:?}");
+            std::process::exit(2);
+        }),
+    };
+    let replay = (spec.replay)(seed, arg_value(args, "--app"));
+    let focus = replay.focus.as_deref();
+    let Some(chain) = explain(spec, &replay.log, focus) else {
+        let app = focus.map(|app| format!(" for {app}")).unwrap_or_default();
+        eprintln!("doctor: found no {}{app}", spec.missing);
+        std::process::exit(1);
+    };
+    print(&chain);
 }
 
 /// Explains the target `name` over one server's journal.

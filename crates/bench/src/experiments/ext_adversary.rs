@@ -49,7 +49,9 @@ use powermed_telemetry::journal::{Obs, ObsConfig};
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::{catalog, AppProfile};
 
-use crate::support::{heading, make_sim, par_map, pct, GateCheck, GateReport, DT};
+use crate::support::{
+    field, flavor_grid, fold_words, heading, make_sim, pct, GateCheck, GateReport, DT, FNV_OFFSET,
+};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xBADD;
@@ -164,7 +166,7 @@ pub fn scenarios(seed: u64) -> Vec<AdversaryScenario> {
     ]
 }
 
-/// The grid row the `doctor` binary's `--explain quarantine` replays:
+/// The grid row the `doctor` command's `--explain quarantine` replays:
 /// knob non-compliance, where the full evidence chain (clamp-bound
 /// claims → trust descent → E7 quarantine → clawback) fires.
 pub fn doctor_scenario(seed: u64) -> AdversaryScenario {
@@ -270,23 +272,13 @@ fn run(
 /// Both flavors share each scenario's seed (common random numbers),
 /// so the injector rolls the same lies against both stacks.
 pub fn run_grid() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for defended in [false, true] {
-            cells.push((s.clone(), defended));
-        }
-    }
-    let outs = par_map(cells, |(s, defended)| {
-        run_one(&s, defended, SCENARIO_DURATION)
-    });
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, defended| {
+        run_one(s, defended, SCENARIO_DURATION)
+    })
 }
 
 /// A defended adversarial run with the flight recorder attached, for
-/// the `doctor` binary and the causal-chain tests.
+/// the `doctor` command and the causal-chain tests.
 #[derive(Debug)]
 pub struct AdversaryObserved {
     /// The scored outcome (defended flavor).
@@ -402,27 +394,20 @@ pub fn smoke_digest(seed: u64) -> u64 {
     for app in grid_apps() {
         med.admit(&mut sim, app).expect("three apps fit");
     }
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-    let fold = |digest: &mut u64, bits: u64| {
-        *digest ^= bits;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut digest = FNV_OFFSET;
     let steps = (8.0 / DT.value()).round() as u64;
     for _ in 0..steps {
         med.step(&mut sim, DT);
         if let Some(eb) = med.last_estimate() {
-            for share in eb.apps.values() {
-                fold(&mut digest, share.watts.to_bits());
-            }
-            fold(&mut digest, eb.residual_w.to_bits());
+            let shares = eb.apps.values().map(|share| share.watts.to_bits());
+            digest = fold_words(digest, shares.chain([eb.residual_w.to_bits()]));
         }
     }
     let simulated = steps as f64 * DT.value();
     let out = score(&sim, &med, &scenario, &spec, simulated);
-    for (_, perf) in &out.per_app {
-        fold(&mut digest, perf.to_bits());
-    }
-    for bits in [
+    let perfs = out.per_app.iter().map(|(_, perf)| perf.to_bits());
+    digest = fold_words(digest, perfs);
+    let counters = [
         out.violation_seconds.to_bits(),
         out.adversary.heartbeats_misreported,
         out.adversary.probes_sandbagged,
@@ -434,10 +419,8 @@ pub fn smoke_digest(seed: u64) -> u64 {
         out.trust.clawback_polls,
         out.estimation.clamp_bound_polls,
         out.debt_charged_w.to_bits(),
-    ] {
-        fold(&mut digest, bits);
-    }
-    digest
+    ];
+    fold_words(digest, counters)
 }
 
 fn print_row(label: &str, undef: &AdversaryOutcome, def: &AdversaryOutcome) {
@@ -460,9 +443,9 @@ fn print_row(label: &str, undef: &AdversaryOutcome, def: &AdversaryOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns the grid rows so the
-/// harness binary can record the gate metrics.
-pub fn print() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
+/// Prints the extension experiment and returns its harness-section
+/// fields: the gate metrics of the all-honest and knob-defiance rows.
+pub fn print() -> Vec<(String, String)> {
     heading("Extension: adversarial apps — undefended vs integrity defense");
     println!(
         "{:<34} {:>8} {:>8} | {:>8} {:>8} {:>5} {:>5} {:>5} {:>7} {:>9}",
@@ -494,7 +477,24 @@ pub fn print() -> Vec<(AdversaryScenario, AdversaryOutcome, AdversaryOutcome)> {
             check.detail
         );
     }
-    rows
+    let ((_, _, base_def), (_, defi_undef, defi_def)) = (&rows[0], &rows[3]);
+    vec![
+        field("scenarios", rows.len()),
+        field("honest_false_quarantines", base_def.trust.quarantines),
+        field(
+            "defiance_attacker_undefended",
+            format!("{:.6}", defi_undef.attacker_perf),
+        ),
+        field(
+            "defiance_attacker_defended",
+            format!("{:.6}", defi_def.attacker_perf),
+        ),
+        field("defiance_quarantines", defi_def.trust.quarantines),
+        field(
+            "defiance_clawback_w",
+            format!("{:.6}", defi_def.debt_repaid_w),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use powermed_cluster::trace::ClusterPowerTrace;
 use powermed_telemetry::faults::ClusterControlStats;
 use powermed_units::{Ratio, Seconds, Watts};
 
-use crate::support::{heading, par_map, pct};
+use crate::support::{field, flavor_grid, fold_words, heading, pct};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xC1_05;
@@ -207,19 +207,9 @@ pub fn run_one(
 /// flavors share the scenario's seed (common random numbers), so they
 /// face the same drop/delay/churn draws wherever both consume them.
 pub fn run_grid() -> Vec<(Scenario, ClusterFaultOutcome, ClusterFaultOutcome)> {
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for resilient in [false, true] {
-            cells.push((s.clone(), resilient));
-        }
-    }
-    let outs = par_map(cells, |(s, resilient)| {
-        run_one(&s, resilient, SERVERS, DURATION)
-    });
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, resilient| {
+        run_one(s, resilient, SERVERS, DURATION)
+    })
 }
 
 /// One short reference run condensed to a single determinism witness:
@@ -232,18 +222,16 @@ pub fn smoke_digest(seed: u64) -> u64 {
         faults: ClusterFaultConfig::default_scenario(seed),
     };
     let out = run_one(&scenario, true, 4, Seconds::new(60.0));
-    let mut digest = out.trace_digest;
-    for bits in [
-        out.aggregate_normalized_perf.to_bits(),
-        out.violation_seconds.to_bits(),
-        out.stats.injected_events(),
-        out.stats.response_events(),
-        out.stats.breaker_trips,
-    ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    digest
+    fold_words(
+        out.trace_digest,
+        [
+            out.aggregate_normalized_perf.to_bits(),
+            out.violation_seconds.to_bits(),
+            out.stats.injected_events(),
+            out.stats.response_events(),
+            out.stats.breaker_trips,
+        ],
+    )
 }
 
 fn print_pair(label: &str, naive: &ClusterFaultOutcome, resilient: &ClusterFaultOutcome) {
@@ -263,8 +251,9 @@ fn print_pair(label: &str, naive: &ClusterFaultOutcome, resilient: &ClusterFault
     );
 }
 
-/// Prints the extension experiment.
-pub fn print() {
+/// Prints the extension experiment and returns its harness-section
+/// fields.
+pub fn print() -> Vec<(String, String)> {
     heading("Extension: cluster control-plane faults — naive vs resilient manager");
     println!(
         "{:<46} {:>8} {:>8} {:>5} | {:>8} {:>8} {:>5} {:>7} {:>5} {:>5} {:>5}",
@@ -287,6 +276,10 @@ pub fn print() {
         "\n(Equal(Ours) at {:.0}% shave — a moving diurnal budget; viol s = seconds\nthe fleet's true net draw exceeded the cluster budget; trips = times\nsustained overdraw tripped the facility breaker's emergency clamp;\nboth flavors share each scenario's fault seed — common random numbers)",
         SHAVE * 100.0
     );
+    vec![
+        field("scenarios", scenarios(SEED).len()),
+        field("servers", SERVERS),
+    ]
 }
 
 #[cfg(test)]

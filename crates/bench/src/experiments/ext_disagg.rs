@@ -69,7 +69,9 @@ use powermed_workloads::AppProfile;
 use powermed_cf::FoldedRow;
 
 use crate::experiments::ext_faults::{self, trace_digest, SCENARIO_DURATION};
-use crate::support::{heading, make_sim, par_map, pct, GateCheck, GateReport, DT};
+use crate::support::{
+    field, flavor_grid, fold_words, heading, make_sim, pct, GateCheck, GateReport, DT,
+};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0xD15A;
@@ -184,7 +186,7 @@ pub fn scenarios(seed: u64) -> Vec<DisaggScenario> {
     rows
 }
 
-/// The grid row the `doctor` binary's `--explain sensor-fault` replays:
+/// The grid row the `doctor` command's `--explain sensor-fault` replays:
 /// the shared-meter-bias scenario, where the residual cross-check is
 /// the only evidence and the full ladder fires.
 pub fn doctor_scenario(seed: u64) -> DisaggScenario {
@@ -361,23 +363,13 @@ fn run(
 /// face the same fault draws wherever both consume them.
 pub fn run_grid() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
     let mix = ext_faults::reference_mix();
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for estimated in [false, true] {
-            cells.push((s.clone(), estimated));
-        }
-    }
-    let outs = par_map(cells, |(s, estimated)| {
-        run_one(&s, &mix, estimated, SCENARIO_DURATION)
-    });
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, estimated| {
+        run_one(s, &mix, estimated, SCENARIO_DURATION)
+    })
 }
 
 /// An estimated run with the flight recorder attached: the physics
-/// alongside the journal, for the `doctor` binary and the causal-chain
+/// alongside the journal, for the `doctor` command and the causal-chain
 /// tests.
 #[derive(Debug)]
 pub struct DisaggObserved {
@@ -477,21 +469,19 @@ pub fn smoke_digest(seed: u64) -> u64 {
         true,
         Seconds::new(5.0),
     );
-    let mut digest = out.trace_digest;
-    for bits in [
-        out.mean_normalized.to_bits(),
-        out.violation_seconds.to_bits(),
-        out.mean_abs_err_w.to_bits(),
-        out.estimation.estimates,
-        out.estimation.residual_spikes,
-        out.estimation.fallback_engagements,
-        out.estimation.escalations,
-        out.hardening.sensor_faults,
-    ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    digest
+    fold_words(
+        out.trace_digest,
+        [
+            out.mean_normalized.to_bits(),
+            out.violation_seconds.to_bits(),
+            out.mean_abs_err_w.to_bits(),
+            out.estimation.estimates,
+            out.estimation.residual_spikes,
+            out.estimation.fallback_engagements,
+            out.estimation.escalations,
+            out.hardening.sensor_faults,
+        ],
+    )
 }
 
 fn print_pair(label: &str, oracle: &DisaggOutcome, est: &DisaggOutcome) {
@@ -512,9 +502,9 @@ fn print_pair(label: &str, oracle: &DisaggOutcome, est: &DisaggOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns the grid rows so the
-/// harness binary can record the gate metrics.
-pub fn print() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
+/// Prints the extension experiment and returns its harness-section
+/// fields: the gate metrics of the reference and clean rows.
+pub fn print() -> Vec<(String, String)> {
     heading("Extension: estimated per-app power — oracle vs disaggregated stack");
     println!(
         "{:<42} {:>8} {:>7} {:>5} | {:>8} {:>7} {:>7} {:>5} {:>4} {:>4} {:>4} {:>6}",
@@ -548,7 +538,24 @@ pub fn print() -> Vec<(DisaggScenario, DisaggOutcome, DisaggOutcome)> {
             check.detail
         );
     }
-    rows
+    let ((_, _, clean_est), (_, ref_oracle, ref_est)) = (&rows[0], &rows[1]);
+    let ref_mean_gap = (ref_est.mean_normalized - ref_oracle.mean_normalized).abs();
+    let ref_violation_gap = ref_est.violation_seconds - ref_oracle.violation_seconds;
+    vec![
+        field("scenarios", rows.len()),
+        field("ref_mean_gap", format!("{ref_mean_gap:.6}")),
+        field("ref_violation_gap_s", format!("{ref_violation_gap:.6}")),
+        field(
+            "ref_mean_abs_err_w",
+            format!("{:.6}", ref_est.mean_abs_err_w),
+        ),
+        field("ref_escalations", ref_est.estimation.escalations),
+        field(
+            "clean_false_engagements",
+            clean_est.estimation.fallback_engagements,
+        ),
+        field("clean_sensor_faults", clean_est.hardening.sensor_faults),
+    ]
 }
 
 #[cfg(test)]

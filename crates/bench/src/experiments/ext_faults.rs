@@ -27,7 +27,9 @@ use powermed_telemetry::journal::Obs;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::support::{heading, make_sim, par_map, pct, DT};
+use crate::support::{
+    field, flavor_grid, fold_bytes, fold_words, heading, make_sim, pct, DT, FNV_OFFSET,
+};
 
 /// Seed shared by the scenario grid (the sweep offsets it per point).
 pub const SEED: u64 = 0xFA_07;
@@ -201,14 +203,9 @@ pub fn run_with(
 /// FNV-1a over the debug rendering of the fault trace. Cheap, stable,
 /// and sensitive to every field of every record.
 pub fn trace_digest(trace: &[FaultRecord]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for record in trace {
-        for byte in format!("{record:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+    trace.iter().fold(FNV_OFFSET, |hash, record| {
+        fold_bytes(hash, format!("{record:?}").into_bytes())
+    })
 }
 
 /// Duration of the full scenario runs (matches the runtime's stuck-ESD
@@ -218,19 +215,9 @@ pub const SCENARIO_DURATION: Seconds = Seconds::new(30.0);
 /// Runs the whole grid, `(scenario, unhardened, hardened)` per row.
 pub fn run_grid() -> Vec<(Scenario, FaultOutcome, FaultOutcome)> {
     let mix = reference_mix();
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for hardened in [false, true] {
-            cells.push((s.clone(), hardened));
-        }
-    }
-    let outs = par_map(cells, |(s, hardened)| {
-        run_one(&s, &mix, hardened, SCENARIO_DURATION)
-    });
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, hardened| {
+        run_one(s, &mix, hardened, SCENARIO_DURATION)
+    })
 }
 
 /// Like [`run_one`] but wobbles the cap between `hi` and `lo` every
@@ -257,41 +244,30 @@ pub const SWEEP_RATES: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 /// performs dozens of knob writes for the failure rate to bite on.
 pub fn run_sweep() -> Vec<(f64, FaultOutcome, FaultOutcome)> {
     let mix = reference_mix();
-    let mut cells = Vec::new();
-    for rate in SWEEP_RATES {
+    flavor_grid(SWEEP_RATES.to_vec(), |&rate, hardened| {
         // Common random numbers: one seed across rates aligns the
         // Bernoulli draws, so a write that fails at 1% also fails at
         // every higher rate and the dose-response is monotone.
-        let config = FaultConfig {
-            seed: SEED + 2,
-            knob_failure_prob: rate,
-            ..FaultConfig::default()
-        };
         let scenario = Scenario {
             label: "sweep",
-            config,
+            config: FaultConfig {
+                seed: SEED + 2,
+                knob_failure_prob: rate,
+                ..FaultConfig::default()
+            },
             cap: Watts::new(100.0),
             with_battery: false,
             kind: PolicyKind::AppResAware,
         };
-        for hardened in [false, true] {
-            cells.push((scenario.clone(), hardened));
-        }
-    }
-    let outs = par_map(cells, |(s, hardened)| {
         run_wobble(
-            &s,
+            &scenario,
             &mix,
             hardened,
             Seconds::new(20.0),
             Watts::new(90.0),
             Seconds::new(1.0),
         )
-    });
-    outs.chunks_exact(2)
-        .zip(SWEEP_RATES)
-        .map(|(pair, rate)| (rate, pair[0].clone(), pair[1].clone()))
-        .collect()
+    })
 }
 
 /// One short reference run condensed to a single determinism witness:
@@ -307,17 +283,15 @@ pub fn smoke_digest(seed: u64) -> u64 {
         kind: PolicyKind::AppResEsdAware,
     };
     let out = run_one(&scenario, &reference_mix(), true, Seconds::new(5.0));
-    let mut digest = out.trace_digest;
-    for bits in [
-        out.mean_normalized.to_bits(),
-        out.violation_fraction.to_bits(),
-        out.fault_stats.total_events(),
-        out.hardening.retries,
-    ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    digest
+    fold_words(
+        out.trace_digest,
+        [
+            out.mean_normalized.to_bits(),
+            out.violation_fraction.to_bits(),
+            out.fault_stats.total_events(),
+            out.hardening.retries,
+        ],
+    )
 }
 
 fn print_pair(label: &str, plain: &FaultOutcome, hard: &FaultOutcome) {
@@ -336,8 +310,9 @@ fn print_pair(label: &str, plain: &FaultOutcome, hard: &FaultOutcome) {
     );
 }
 
-/// Prints the extension experiment.
-pub fn print() {
+/// Prints the extension experiment and returns its harness-section
+/// fields.
+pub fn print() -> Vec<(String, String)> {
     heading("Extension: fault injection — trusting vs hardened mediator");
     println!(
         "{:<46} {:>8} {:>10} {:>7} {:>6} | {:>8} {:>10} {:>5} {:>4} {:>4}",
@@ -373,6 +348,10 @@ pub fn print() {
     for (rate, plain, hard) in run_sweep() {
         print_pair(&format!("{:.0}%", rate * 100.0), &plain, &hard);
     }
+    vec![
+        field("scenarios", scenarios(SEED).len()),
+        field("sweep_points", SWEEP_RATES.len()),
+    ]
 }
 
 #[cfg(test)]

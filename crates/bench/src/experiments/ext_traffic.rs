@@ -50,7 +50,9 @@ use powermed_traffic::source::TrafficConfig;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 
-use crate::support::{heading, par_map, pct, GateCheck, GateReport, DT};
+use crate::support::{
+    field, flavor_grid, fold_words, heading, pct, GateCheck, GateReport, DT, FNV_OFFSET,
+};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x70AF_F1C5;
@@ -163,7 +165,7 @@ pub fn scenarios(seed: u64) -> Vec<TrafficScenario> {
     rows
 }
 
-/// The grid cell the `doctor` binary's `--explain slo-miss` replays:
+/// The grid cell the `doctor` command's `--explain slo-miss` replays:
 /// the tightest heterogeneous cell, where the throughput box is
 /// starved and flash crowds push windows over the edge.
 pub fn doctor_scenario(seed: u64) -> TrafficScenario {
@@ -266,11 +268,6 @@ pub fn flavor_caps(sku: &SkuMix, host_mixes: &[Mix], total: Watts, mediated: boo
     ClusterManager::apportion_cluster_with_floors(&curves, total, &floors)
 }
 
-fn fold(digest: &mut u64, bits: u64) {
-    *digest ^= bits;
-    *digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
 /// Scores a finished fleet: pooled attainment, energy, residue, and
 /// the FNV fold of every counter.
 fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
@@ -281,7 +278,7 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
     let mut windows_missed = 0u64;
     let mut backlog = 0.0f64;
     let mut energy_j = 0.0f64;
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for sim in &fleet.sims {
         let stats = sim
             .traffic()
@@ -294,17 +291,18 @@ fn score(fleet: &Fleet, caps: &[Watts]) -> TrafficOutcome {
         windows_missed += stats.windows_missed;
         backlog += stats.offered_ops - stats.served_ops;
         energy_j += sim.meter().energy().value();
-        fold(&mut digest, stats.requests);
-        fold(&mut digest, stats.completions);
-        fold(&mut digest, stats.within_slo);
-        fold(&mut digest, stats.windows_missed);
-        fold(&mut digest, stats.offered_ops.to_bits());
-        fold(&mut digest, stats.served_ops.to_bits());
-        fold(&mut digest, sim.meter().energy().value().to_bits());
+        let counters = [
+            stats.requests,
+            stats.completions,
+            stats.within_slo,
+            stats.windows_missed,
+            stats.offered_ops.to_bits(),
+            stats.served_ops.to_bits(),
+            sim.meter().energy().value().to_bits(),
+        ];
+        digest = fold_words(digest, counters);
     }
-    for cap in caps {
-        fold(&mut digest, cap.value().to_bits());
-    }
+    let digest = fold_words(digest, caps.iter().map(|c| c.value().to_bits()));
     TrafficOutcome {
         attainment: if requests > 0 {
             within as f64 / requests as f64
@@ -372,21 +370,11 @@ fn run(
 /// flavors share each server's traffic seed (common random numbers),
 /// so attainment gaps are policy, not luck.
 pub fn run_grid() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for mediated in [false, true] {
-            cells.push((s.clone(), mediated));
-        }
-    }
-    let outs = par_map(cells, |(s, mediated)| run_one(&s, mediated, DAY));
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, mediated| run_one(s, mediated, DAY))
 }
 
 /// A mediated run with the flight recorder attached to one server,
-/// for the `doctor` binary and the causal-chain tests.
+/// for the `doctor` command and the causal-chain tests.
 #[derive(Debug)]
 pub struct TrafficObserved {
     /// The scored outcome (mediated flavor).
@@ -517,17 +505,15 @@ pub fn gate(rows: &[(TrafficScenario, TrafficOutcome, TrafficOutcome)]) -> GateR
 pub fn smoke_digest(seed: u64) -> u64 {
     let scenario = doctor_scenario(seed);
     let smoke_day = Seconds::new(DAY.value() / 10.0);
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for mediated in [false, true] {
-        let out = run_one(&scenario, mediated, smoke_day);
-        fold(&mut digest, out.digest);
-    }
-    digest
+    let flavors = [false, true].map(|mediated| run_one(&scenario, mediated, smoke_day).digest);
+    fold_words(FNV_OFFSET, flavors)
 }
 
-/// Prints the attainment-vs-tightness table and returns the rows for
-/// the harness document.
-pub fn print() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
+/// Prints the attainment-vs-tightness table and returns its
+/// harness-section fields: one attainment and one energy curve per
+/// fleet composition and flavor, tightness axis loosest-first (matching
+/// `TIGHTNESS`), and the gate verdict.
+pub fn print() -> Vec<(String, String)> {
     heading("ext_traffic: SLO attainment vs cap tightness (request-driven fleet)");
     let rows = run_grid();
     println!(
@@ -556,7 +542,30 @@ pub fn print() -> Vec<(TrafficScenario, TrafficOutcome, TrafficOutcome)> {
             check.detail
         );
     }
-    rows
+    type Curve = fn(&TrafficOutcome) -> String;
+    let curves: [(&str, Curve); 2] = [
+        ("attainment", |o| format!("{:.6}", o.attainment)),
+        ("energy_kj", |o| format!("{:.3}", o.energy_kj)),
+    ];
+    let tightness: Vec<String> = TIGHTNESS.iter().map(|t| format!("{t:.2}")).collect();
+    let mut fields = vec![
+        field("scenarios", rows.len()),
+        field("tightness", format!("[{}]", tightness.join(","))),
+    ];
+    for (sku, mix) in sku_mixes().iter().enumerate() {
+        let tag = mix.label.replace(['+', '-'], "_");
+        for (name, value) in curves {
+            for (flavor, mediated) in [("static", false), ("mediated", true)] {
+                let pts: Vec<String> = (rows.iter().filter(|(s, _, _)| s.sku == sku))
+                    .map(|(_, st, md)| value(if mediated { md } else { st }))
+                    .collect();
+                let key = format!("{name}_{flavor}_{tag}");
+                fields.push(field(&key, format!("[{}]", pts.join(","))));
+            }
+        }
+    }
+    fields.push(field("gate_passed", report.passed()));
+    fields
 }
 
 #[cfg(test)]

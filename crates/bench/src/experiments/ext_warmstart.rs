@@ -35,7 +35,7 @@ use powermed_telemetry::ProfileStoreStats;
 use powermed_units::Seconds;
 
 use crate::experiments::ext_cluster_faults::cap_schedule;
-use crate::support::{heading, par_map, pct};
+use crate::support::{field, flavor_grid, fold_words, heading, pct};
 
 /// Seed shared by the scenario grid.
 pub const SEED: u64 = 0x0003_A804;
@@ -194,17 +194,9 @@ pub fn run_one(
 /// share the scenario's seed (common random numbers), so they face the
 /// same drop/delay/churn draws wherever both consume them.
 pub fn run_grid() -> Vec<(Scenario, WarmStartOutcome, WarmStartOutcome)> {
-    let mut cells = Vec::new();
-    for s in scenarios(SEED) {
-        for warm in [false, true] {
-            cells.push((s.clone(), warm));
-        }
-    }
-    let outs = par_map(cells, |(s, warm)| run_one(&s, warm, SERVERS, DURATION));
-    outs.chunks_exact(2)
-        .zip(scenarios(SEED))
-        .map(|(pair, s)| (s, pair[0].clone(), pair[1].clone()))
-        .collect()
+    flavor_grid(scenarios(SEED), |s, warm| {
+        run_one(s, warm, SERVERS, DURATION)
+    })
 }
 
 /// One short cold + warm reference pair condensed to a single
@@ -223,25 +215,23 @@ pub fn smoke_digest(seed: u64) -> u64 {
     };
     let cold = run_one(&scenario, false, 3, Seconds::new(60.0));
     let warm = run_one(&scenario, true, 3, Seconds::new(60.0));
-    let mut digest = cold.trace_digest;
-    for bits in [
-        warm.trace_digest,
-        cold.aggregate_normalized_perf.to_bits(),
-        warm.aggregate_normalized_perf.to_bits(),
-        cold.probes.measured(),
-        warm.probes.cold,
-        warm.probes.warm,
-        warm.probes.skipped,
-        warm.store.hits,
-        warm.store.misses,
-        warm.store.invalidations,
-        warm.store.evictions,
-        warm.store_divergence.map(|d| d as u64 + 1).unwrap_or(0),
-    ] {
-        digest ^= bits;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    digest
+    fold_words(
+        cold.trace_digest,
+        [
+            warm.trace_digest,
+            cold.aggregate_normalized_perf.to_bits(),
+            warm.aggregate_normalized_perf.to_bits(),
+            cold.probes.measured(),
+            warm.probes.cold,
+            warm.probes.warm,
+            warm.probes.skipped,
+            warm.store.hits,
+            warm.store.misses,
+            warm.store.invalidations,
+            warm.store.evictions,
+            warm.store_divergence.map(|d| d as u64 + 1).unwrap_or(0),
+        ],
+    )
 }
 
 fn print_pair(label: &str, cold: &WarmStartOutcome, warm: &WarmStartOutcome) {
@@ -264,9 +254,10 @@ fn print_pair(label: &str, cold: &WarmStartOutcome, warm: &WarmStartOutcome) {
     );
 }
 
-/// Prints the extension experiment and returns the grid rows so the
-/// harness binary can record the probe counters.
-pub fn print() -> Vec<(Scenario, WarmStartOutcome, WarmStartOutcome)> {
+/// Prints the extension experiment and returns its harness-section
+/// fields: the reference churn row's probe counters are the
+/// experiment's headline numbers.
+pub fn print() -> Vec<(String, String)> {
     heading("Extension: warm-start admission — cold vs fleet knowledge plane");
     println!(
         "{:<46} {:>6} {:>6} {:>7} {:>6} {:>5} | {:>8} {:>8} | {:>7} {:>7} {:>4} {:>4}",
@@ -290,7 +281,19 @@ pub fn print() -> Vec<(Scenario, WarmStartOutcome, WarmStartOutcome)> {
     println!(
         "\n(Equal(Ours), online sparse calibration in both flavors; cprobe/wprobe =\nprobe points actually measured fleet-wide; skip = points satisfied from\nthe store; cal s = implied calibration dwell at {PROBE_SECONDS} s/probe;\ndiv = store entries on which manager and agents still disagree at run\nend; both flavors share each scenario's fault seed — common random numbers)"
     );
-    rows
+    let (_, cold, warm) = &rows[1];
+    vec![
+        field("scenarios", rows.len()),
+        field("servers", SERVERS),
+        field("reference_cold_probes", cold.probes.measured()),
+        field("reference_warm_probes", warm.probes.measured()),
+        field("reference_warm_skipped", warm.probes.skipped),
+        field("reference_store_hits", warm.store.hits),
+        field(
+            "reference_probes_saved",
+            format!("{:.6}", warm.probes_saved_vs(cold)),
+        ),
+    ]
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use powermed_units::Watts;
 use powermed_workloads::catalog;
 use powermed_workloads::generator::WorkloadGenerator;
 
-use crate::support::{heading, measure, par_map, pct};
+use crate::support::{fold_bytes, heading, measure, par_map, pct, FNV_OFFSET};
 
 /// Outcome at one sampling fraction.
 #[derive(Debug, Clone)]
@@ -134,21 +134,15 @@ fn score(fraction: f64, reports: &[FoldReport]) -> SamplePoint {
 /// ALS kernels, the CV protocol or the scoring shows up as a digest
 /// change.
 pub fn digest(points: &[SamplePoint]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in points {
-        for v in [
+    let values = points.iter().flat_map(|p| {
+        [
             p.fraction,
             p.power_overshoot,
             p.perf_vs_optimal,
             p.power_rmse,
-        ] {
-            for b in v.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
+        ]
+    });
+    fold_bytes(FNV_OFFSET, values.flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 /// Prints the sweep.

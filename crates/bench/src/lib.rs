@@ -1,8 +1,9 @@
 //! Experiment harness for `powermed`: one module per table and figure of
 //! the paper, each able to regenerate the corresponding rows/series.
 //!
-//! Run everything with `cargo run --release -p powermed-bench --bin all`,
-//! or individual experiments with `--bin fig8`, `--bin table1`, etc.
+//! Run everything with `cargo run --release -p powermed-bench -- all`,
+//! or individual experiments with `-- fig8`, `-- table1`, etc. (the
+//! names are [`experiments::EXPERIMENTS`]).
 //! The harness prints the same quantities the paper reports (normalized
 //! throughput per mix and policy, power splits, duty cycles, cluster
 //! aggregates), so the shape of every claim can be checked directly
@@ -14,4 +15,5 @@
 
 pub mod chain;
 pub mod experiments;
+pub mod microbench;
 pub mod support;

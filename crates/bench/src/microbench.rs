@@ -1,8 +1,8 @@
 //! Kernel-level microbenchmarks for the calibration hot paths, persisted
-//! to `BENCH_harness.json`.
+//! to `BENCH_harness.json` (`powermed-bench microbench`).
 //!
 //! The criterion benches under `benches/` print to stdout and vanish;
-//! this binary runs the same three kernels through the vendored
+//! [`run`] runs the same three kernels through the vendored
 //! criterion shim and writes each mean seconds-per-iteration into a
 //! `microbench` section of the harness document, so kernel-level
 //! regressions are visible in the committed numbers next to the
@@ -27,8 +27,8 @@
 //!   ship its journal on an uplink);
 //! * `fleet_merge_10x64` — one manager fold wave: ten servers' digests
 //!   of 64 records each merged into a fresh fleet timeline.
+use crate::support::{json_object, merge_harness, DT};
 use criterion::Criterion;
-use powermed_bench::support::{json_object, HarnessDoc, DT};
 use powermed_cf::als::{Completion, FitConfig};
 use powermed_cf::sampler::SparseSampler;
 use powermed_core::allocator::PowerAllocator;
@@ -56,7 +56,9 @@ fn disagg_case(n: usize) -> (f64, Vec<AppPrior>) {
     (total, priors)
 }
 
-fn main() {
+/// Runs every kernel and merges the mean seconds per iteration into the
+/// `microbench` section.
+pub fn run() {
     let spec = ServerSpec::xeon_e5_2620();
     let apps: Vec<AppMeasurement> = catalog::all()
         .iter()
@@ -188,11 +190,11 @@ fn main() {
         .iter()
         .map(|(name, secs)| (name.clone(), format!("{secs:.9}")))
         .collect();
-    let mut doc = HarnessDoc::load("BENCH_harness.json");
-    doc.set("microbench", json_object(&fields));
-    doc.set("microbench_unit", "\"seconds_per_iteration\"");
-    match doc.save("BENCH_harness.json") {
-        Ok(()) => println!("merged microbench into BENCH_harness.json"),
-        Err(e) => eprintln!("could not write BENCH_harness.json: {e}"),
-    }
+    merge_harness(
+        vec![
+            ("microbench", json_object(&fields)),
+            ("microbench_unit", "\"seconds_per_iteration\"".to_string()),
+        ],
+        "merged microbench into BENCH_harness.json",
+    );
 }

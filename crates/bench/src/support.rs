@@ -111,7 +111,7 @@ pub fn measure(spec: &ServerSpec, profile: &AppProfile) -> AppMeasurement {
 }
 
 /// `BENCH_harness.json` as a set of top-level sections, so multiple
-/// harness binaries (`all`, `ext_faults`, …) can each update their own
+/// harness commands (`all`, `ext_faults`, …) can each update their own
 /// section without clobbering the others'.
 ///
 /// The build is offline (no serialization crate), so this is a minimal
@@ -291,6 +291,63 @@ pub fn smoke_check(label: &str, digest: impl Fn(u64) -> u64, seed: u64) {
     println!("{label} smoke: deterministic ({first:#018x}), reseeded diverges ({reseeded:#018x})");
 }
 
+/// FNV-1a offset basis: the starting state of every harness digest.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds each 64-bit word into `digest` with one FNV-1a round.
+pub fn fold_words(digest: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .fold(digest, |d, w| (d ^ w).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Folds each byte into `digest` (FNV-1a proper).
+pub fn fold_bytes(digest: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fold_words(digest, bytes.into_iter().map(u64::from))
+}
+
+/// Runs every scenario under both flavors of an experiment (`false`
+/// then `true`: plain vs hardened, naive vs resilient, cold vs warm, …)
+/// on the worker pool and pairs the outcomes per scenario. Both flavors
+/// of a row share the scenario, so they run on common random numbers.
+pub fn flavor_grid<S, O>(scenarios: Vec<S>, run: impl Fn(&S, bool) -> O + Sync) -> Vec<(S, O, O)>
+where
+    S: Sync,
+    O: Send,
+{
+    let cells: Vec<usize> = (0..2 * scenarios.len()).collect();
+    let mut outs = par_map(cells, |i| run(&scenarios[i / 2], i % 2 == 1)).into_iter();
+    scenarios
+        .into_iter()
+        .map(|s| {
+            let plain = outs.next().expect("one outcome per cell");
+            (s, plain, outs.next().expect("one outcome per cell"))
+        })
+        .collect()
+}
+
+/// The harness document every experiment merges its sections into.
+pub const HARNESS: &str = "BENCH_harness.json";
+
+/// One `"key": value` field of a harness section, the value rendered
+/// with `Display` (pre-formatted JSON text for strings and arrays).
+pub fn field(key: &str, value: impl std::fmt::Display) -> (String, String) {
+    (key.to_string(), value.to_string())
+}
+
+/// Sets `sections` in [`HARNESS`], keeping every other section, and
+/// prints `done` — or the write error on stderr.
+pub fn merge_harness(sections: Vec<(&str, String)>, done: &str) {
+    let mut doc = HarnessDoc::load(HARNESS);
+    for (key, value) in sections {
+        doc.set(key, value);
+    }
+    match doc.save(HARNESS) {
+        Ok(()) => println!("{done}"),
+        Err(e) => eprintln!("could not write {HARNESS}: {e}"),
+    }
+}
+
 /// One release-gate check: name, verdict, and the measured detail.
 #[derive(Debug, Clone)]
 pub struct GateCheck {
@@ -468,7 +525,7 @@ mod tests {
         let mut all = HarnessDoc::default();
         all.set("experiments", json_object(&[("fig2".into(), "0.5".into())]));
         all.set("unit", "\"seconds\"");
-        // A second binary loads the same text and adds its own section.
+        // A second command loads the same text and adds its own section.
         let mut ext = HarnessDoc::parse(&all.render()).unwrap();
         ext.set(
             "ext_faults",
@@ -477,7 +534,7 @@ mod tests {
         let merged = ext.render();
         assert!(merged.contains("\"fig2\": 0.5"), "{merged}");
         assert!(merged.contains("\"ext_faults\""), "{merged}");
-        // And the first binary re-running replaces only its section.
+        // And the first command re-running replaces only its section.
         let mut again = HarnessDoc::parse(&merged).unwrap();
         again.set("experiments", json_object(&[("fig2".into(), "0.7".into())]));
         let text = again.render();

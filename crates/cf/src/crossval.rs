@@ -91,12 +91,6 @@ impl CrossValidator {
         }
     }
 
-    /// Overrides the ALS fit configuration.
-    pub fn with_fit_config(mut self, fit: FitConfig) -> Self {
-        self.fit = fit;
-        self
-    }
-
     /// Runs cross-validation on a **dense** utility matrix (every app
     /// measured at every column) at the given online sampling fraction.
     ///

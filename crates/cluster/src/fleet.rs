@@ -1,7 +1,7 @@
 //! Shared fleet construction for the cluster tier.
 //!
-//! `run_equal`, `run_unequal` and the manager ↔ agent control plane all
-//! stand up the same per-server stack: a [`ServerSim`] (with or without
+//! Every manager ↔ agent control-plane run (`ClusterManager::run`
+//! included) stands up the same per-server stack: a [`ServerSim`] (with or without
 //! the Lead-Acid UPS), a [`PowerMediator`] running the policy under
 //! test, the Table II mix admitted, and the uncapped solo rates every
 //! normalized-throughput report divides by. This module is the single

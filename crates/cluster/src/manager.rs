@@ -1,13 +1,12 @@
 //! The cluster manager and the three evaluated cluster policies.
 
-use powermed_core::policy::PolicyKind;
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{Joules, Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 use powermed_workloads::profile::AppProfile;
 use serde::{Deserialize, Serialize};
 
-use crate::control::{self, Apportionment, ControlOptions, ManagedPolicy};
+use crate::control::{self, ControlOptions, ManagedPolicy};
 use crate::trace::ClusterPowerTrace;
 
 /// Nominal draw of one fully loaded server, used by the consolidation
@@ -121,40 +120,18 @@ impl ClusterManager {
         trace: &ClusterPowerTrace,
         dt: Seconds,
     ) -> ClusterReport {
-        match policy {
-            ClusterPolicy::EqualRapl => {
-                self.run_equal(policy, PolicyKind::UtilUnaware, false, trace, dt)
-            }
-            ClusterPolicy::EqualOurs => {
-                self.run_equal(policy, PolicyKind::AppResEsdAware, true, trace, dt)
-            }
-            ClusterPolicy::ConsolidationMigration => self.run_consolidation(trace, dt),
-            ClusterPolicy::UnequalOurs => self.run_unequal(trace, dt),
-        }
-    }
-
-    /// The utility-aware apportionment extension: per-server value
-    /// curves are computed from each server's application measurements
-    /// (through the shared [`powermed_core::cache::MeasurementCache`]),
-    /// then the cluster cap is split by an exact knapsack-style DP over
-    /// 5 W increments whenever the trace changes.
-    fn run_unequal(&self, trace: &ClusterPowerTrace, dt: Seconds) -> ClusterReport {
-        self.run_managed(ManagedPolicy::unequal_ours(), trace, dt)
-    }
-
-    /// Runs `policy` through the manager ↔ agent control plane with a
-    /// fault-free network — the same loop the fault experiments use,
-    /// which with faults off is bit-identical to the original monolithic
-    /// per-policy loops.
-    fn run_managed(
-        &self,
-        policy: ManagedPolicy,
-        trace: &ClusterPowerTrace,
-        dt: Seconds,
-    ) -> ClusterReport {
+        let managed = match policy {
+            ClusterPolicy::EqualRapl => ManagedPolicy::equal_rapl(),
+            ClusterPolicy::EqualOurs => ManagedPolicy::equal_ours(),
+            ClusterPolicy::UnequalOurs => ManagedPolicy::unequal_ours(),
+            ClusterPolicy::ConsolidationMigration => return self.run_consolidation(trace, dt),
+        };
+        // The manager ↔ agent control plane with a fault-free network:
+        // the same loop the fault experiments use, bit-identical to the
+        // original monolithic per-policy loops with faults off.
         control::run_cluster(
             &self.workload(),
-            policy,
+            managed,
             trace,
             dt,
             &ControlOptions::perfect(self.seed),
@@ -292,23 +269,6 @@ impl ClusterManager {
             b = rest;
         }
         caps
-    }
-
-    fn run_equal(
-        &self,
-        policy: ClusterPolicy,
-        kind: PolicyKind,
-        with_battery: bool,
-        trace: &ClusterPowerTrace,
-        dt: Seconds,
-    ) -> ClusterReport {
-        let managed = ManagedPolicy {
-            label: policy,
-            kind,
-            with_battery,
-            apportionment: Apportionment::Equal,
-        };
-        self.run_managed(managed, trace, dt)
     }
 
     /// The consolidation baseline, evaluated analytically: at each trace

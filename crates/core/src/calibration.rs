@@ -81,12 +81,6 @@ impl Calibrator {
         }
     }
 
-    /// Overrides the RNG seed for sampling.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The configured sampling fraction.
     pub fn sampling_fraction(&self) -> f64 {
         self.sampling_fraction

@@ -402,11 +402,6 @@ impl Server {
         }
     }
 
-    /// The DRAM domain serving `dimm` (for inspection).
-    pub fn dram_domain(&self, dimm: DimmId) -> Option<&DramDomain> {
-        self.dram.get(dimm.0)
-    }
-
     fn apply_dram_limit(&mut self, cores: &[CoreId], limit: Watts) {
         if let Some(first) = cores.first() {
             let socket = self.spec.topology().socket_of(*first);

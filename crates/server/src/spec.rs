@@ -1,6 +1,6 @@
 //! Server hardware specification (the paper's Table I).
 
-use powermed_units::{BytesPerSec, Gigahertz, Watts};
+use powermed_units::{Gigahertz, Watts};
 use serde::{Deserialize, Serialize};
 
 use crate::dvfs::FrequencyLadder;
@@ -185,11 +185,6 @@ impl ServerSpec {
     /// Number of integer-watt DRAM RAPL levels (`m_min..=m_max`, 1 W steps).
     pub fn dram_levels(&self) -> usize {
         (self.dram_limit_max.value() - self.dram_limit_min.value()).round() as usize + 1
-    }
-
-    /// Peak memory bandwidth of one DIMM at its maximum RAPL limit.
-    pub fn peak_dimm_bandwidth(&self) -> BytesPerSec {
-        self.dram_power.bandwidth_at_limit(self.dram_limit_max)
     }
 
     /// The full `(f, n, m)` knob grid for one application on this platform.

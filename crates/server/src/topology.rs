@@ -115,11 +115,6 @@ impl Topology {
         (start..start + self.cores_per_socket).map(CoreId)
     }
 
-    /// All core ids on the server.
-    pub fn all_cores(&self) -> impl ExactSizeIterator<Item = CoreId> {
-        (0..self.total_cores()).map(CoreId)
-    }
-
     /// All socket ids.
     pub fn all_sockets(&self) -> impl ExactSizeIterator<Item = SocketId> {
         (0..self.sockets).map(SocketId)

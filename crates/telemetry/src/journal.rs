@@ -990,19 +990,6 @@ impl Obs {
             .digest_since(server_id, since, max_bytes)
     }
 
-    /// Retained records with `seq >= since`, oldest-first — how a
-    /// manager folds its own journal into a fleet timeline without
-    /// re-copying what it already merged.
-    pub fn records_since(&self, since: u64) -> Vec<EventRecord> {
-        self.inner
-            .lock()
-            .journal
-            .iter()
-            .filter(|r| r.seq >= since)
-            .cloned()
-            .collect()
-    }
-
     /// `(retained, evicted, total)` journal record counts.
     pub fn journal_counts(&self) -> (usize, u64, u64) {
         let core = self.inner.lock();

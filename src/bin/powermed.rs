@@ -261,7 +261,7 @@ fn export(flags: &BTreeMap<String, String>) -> Result<(), String> {
     write(&dir, "mixes.csv", &csv)?;
 
     println!("wrote utility_curves.csv, cluster_caps.csv, mixes.csv to {dir}/");
-    println!("(per-figure series are printed by `cargo run -p powermed-bench --bin <figN>`)");
+    println!("(per-figure series are printed by `cargo run -p powermed-bench -- <figN>`)");
     Ok(())
 }
 
