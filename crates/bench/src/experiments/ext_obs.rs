@@ -31,7 +31,9 @@
 //! it, and from a partitioned node's fallback cap back to the missed
 //! downlinks that engaged it. [`fleet_smoke_digest`] is the CI
 //! double-run witness that the merged timeline is byte-identical
-//! across same-seed processes.
+//! across same-seed processes, and [`measure_fleet_overhead`] prices
+//! the recorder against the same run with recording off (gated at
+//! [`FLEET_OVERHEAD_GATE`]).
 
 use std::time::Instant;
 
@@ -378,6 +380,48 @@ pub fn print_fleet(naive: &ResilienceReport, resilient: &ResilienceReport) {
     }
 }
 
+/// Timed plain/recorded pairs per flavor in [`measure_fleet_overhead`].
+pub const FLEET_OVERHEAD_PAIRS: usize = 5;
+
+/// Fleet-recording overhead gate: on each reference flavor the
+/// flight-recorded run may take at most this multiple of the same run
+/// with recording off.
+pub const FLEET_OVERHEAD_GATE: f64 = 5.0;
+
+/// Wall-clock cost of the fleet flight recorder on one reference
+/// flavor: [`FLEET_OVERHEAD_PAIRS`] interleaved pairs of the plain run
+/// ([`ext_cluster_faults::run_one`]) and the recorded one
+/// ([`run_fleet_observed`]) over the 10-server, 480 s reference;
+/// returns the median recorded-over-plain ratio. Interleaving exposes
+/// both flavors to the same machine load, and the median of per-pair
+/// ratios drops a pair a scheduler hiccup spoiled. Each pair asserts
+/// the two runs saw the same fault history, so both time the same work.
+pub fn measure_fleet_overhead(faults: &ClusterFaultConfig, resilient: bool) -> f64 {
+    let scenario = ext_cluster_faults::Scenario {
+        label: "fleet overhead",
+        faults: faults.clone(),
+    };
+    let (servers, duration) = (ext_cluster_faults::SERVERS, ext_cluster_faults::DURATION);
+    let fleet = FleetObsOptions::default();
+    let mut ratios: Vec<f64> = (0..FLEET_OVERHEAD_PAIRS)
+        .map(|_| {
+            let t = Instant::now();
+            let plain = ext_cluster_faults::run_one(&scenario, resilient, servers, duration);
+            let plain_s = t.elapsed().as_secs_f64();
+            let t = Instant::now();
+            let recorded = run_fleet_observed(faults, resilient, servers, duration, &fleet);
+            let recorded_s = t.elapsed().as_secs_f64();
+            assert_eq!(
+                plain.trace_digest, recorded.trace_digest,
+                "recorded fleet physics must match the plain run bit-for-bit"
+            );
+            recorded_s / plain_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 /// Overhead gate: the recorder's marginal wall-clock across the
 /// measurement batch may cost at most this fraction of the `all`
 /// harness's wall-clock (the < 5% target).
@@ -390,10 +434,12 @@ pub const OVERHEAD_GATE: f64 = 0.05;
 ///
 /// Exits 1 — *after* recording the measurement, so a failed gate still
 /// leaves the evidence in the harness document — when a fleet wave put
-/// more than `servers × max_digest_bytes` on the wire, or when the
-/// enabled-mode overhead exceeds [`OVERHEAD_GATE`] of the `all`
-/// harness's recorded `total_seconds` (of this run's own wall-clock, a
-/// far smaller and so stricter denominator, when `all` has not run).
+/// more than `servers × max_digest_bytes` on the wire, when fleet
+/// recording costs more than [`FLEET_OVERHEAD_GATE`] times the plain
+/// run on either reference flavor, or when the enabled-mode overhead
+/// exceeds [`OVERHEAD_GATE`] of the `all` harness's recorded
+/// `total_seconds` (of this run's own wall-clock, a far smaller and so
+/// stricter denominator, when `all` has not run).
 pub fn report() {
     let start = Instant::now();
     print();
@@ -454,15 +500,22 @@ pub fn report() {
     // scenario) and the resilient partition run (fallback-cap's).
     let fleet_opts = FleetObsOptions::default();
     let servers = ext_cluster_faults::SERVERS;
-    let [naive, resilient] = [
+    let flavors = [
         (fleet_scenario(ext_cluster_faults::SEED), false),
         (fleet_doctor_scenario(ext_cluster_faults::SEED), true),
-    ]
-    .map(|(faults, resilient)| {
+    ];
+    let [naive, resilient] = flavors.clone().map(|(faults, resilient)| {
         let duration = ext_cluster_faults::DURATION;
         run_fleet_observed(&faults, resilient, servers, duration, &fleet_opts)
     });
     print_fleet(&naive, &resilient);
+    let [naive_overhead, resilient_overhead] =
+        flavors.map(|(faults, resilient)| measure_fleet_overhead(&faults, resilient));
+    println!(
+        "\nfleet recording overhead (median of {FLEET_OVERHEAD_PAIRS} interleaved pairs): \
+         naive churn+lossy {naive_overhead:.2}x, resilient partition+lossy \
+         {resilient_overhead:.2}x the plain run (gate {FLEET_OVERHEAD_GATE:.1}x)"
+    );
 
     // The per-wave shipping bound the digests promise by construction:
     // no step may put more than `servers * max_digest_bytes` on the
@@ -497,6 +550,12 @@ pub fn report() {
         field("max_wave_bytes", worst_wave),
         field("wave_bound_bytes", wave_bound),
         field("digest_gaps", nf.digest_gaps + rf.digest_gaps),
+        field("naive_overhead_ratio", format!("{naive_overhead:.6}")),
+        field(
+            "resilient_overhead_ratio",
+            format!("{resilient_overhead:.6}"),
+        ),
+        field("overhead_gate_ratio", format!("{FLEET_OVERHEAD_GATE:.6}")),
     ]);
     merge_harness(
         vec![
@@ -512,6 +571,14 @@ pub fn report() {
         eprintln!(
             "ext_obs FAILED: fleet wave {worst_wave} B exceeds the shipping bound \
              {wave_bound} B"
+        );
+        std::process::exit(1);
+    }
+    let worst_overhead = naive_overhead.max(resilient_overhead);
+    if worst_overhead > FLEET_OVERHEAD_GATE {
+        eprintln!(
+            "ext_obs FAILED: fleet recording costs {worst_overhead:.2}x the plain run, \
+             over the {FLEET_OVERHEAD_GATE:.1}x gate"
         );
         std::process::exit(1);
     }

@@ -33,7 +33,7 @@ use powermed_profiles::{ProbeSplit, ProfileDigest, ProfileStore, StoreConfig};
 use powermed_server::ServerSpec;
 use powermed_telemetry::faults::ClusterControlStats;
 use powermed_telemetry::journal::{
-    FleetTimeline, JournalDigest, Obs, ObsConfig, ObsEvent, MANAGER_SERVER_ID,
+    FleetTimeline, JournalDigest, Obs, ObsConfig, ObsEvent, TimelineMark, MANAGER_SERVER_ID,
 };
 use powermed_telemetry::metrics::{prom_label, MetricsRegistry};
 use powermed_telemetry::recorder::TraceRecorder;
@@ -780,9 +780,11 @@ struct ManagerFleet {
 }
 
 /// What a fleet-timeline checkpoint carries across manager failover.
+/// The timeline itself is not copied: it only grows between
+/// checkpoints, so a mark into its merge history is enough to rewind it.
 #[derive(Clone)]
 struct FleetCheckpoint {
-    timeline: FleetTimeline,
+    timeline: TimelineMark,
     acked: Vec<u64>,
     own_shipped: u64,
 }
@@ -938,7 +940,7 @@ impl Manager {
         if let Some(fleet) = self.fleet.as_mut() {
             match fleet.checkpoint.clone().filter(|_| self.resilient) {
                 Some(cp) => {
-                    fleet.timeline = cp.timeline;
+                    fleet.timeline.rollback(cp.timeline);
                     fleet.acked = cp.acked;
                     fleet.own_shipped = cp.own_shipped;
                 }
@@ -1065,7 +1067,7 @@ impl Manager {
             self.store_checkpoint = self.store.as_ref().map(ProfileStore::snapshot_json);
             if let Some(fleet) = self.fleet.as_mut() {
                 fleet.checkpoint = Some(FleetCheckpoint {
-                    timeline: fleet.timeline.clone(),
+                    timeline: fleet.timeline.mark(),
                     acked: fleet.acked.clone(),
                     own_shipped: fleet.own_shipped,
                 });
@@ -1831,7 +1833,7 @@ fn run_cluster_inner(
         mf.obs.set_gauge("timeline_len", mf.timeline.len() as f64);
         mf.publish_ack_gauges();
         FleetObsReport {
-            timeline: mf.timeline.clone(),
+            timeline: std::mem::take(&mut mf.timeline),
             metrics: manager_obs.metrics(),
             digest_bytes_total,
             max_wave_bytes,
@@ -2445,6 +2447,15 @@ mod tests {
         );
         assert!(recorded.stats.manager_failovers >= 1);
         let fleet = recorded.fleet.as_ref().expect("fleet report attached");
+        // No perfbench workload reaches a takeover, so these literals pin
+        // the rollback path. They were recorded while the standby still
+        // restored a full copy of the checkpointed timeline; rewinding to
+        // the checkpoint's mark must reproduce them.
+        assert_eq!(fleet.timeline.len(), 713);
+        assert_eq!(fleet.timeline.digest(), 0x8bb7_7a88_4d24_1280);
+        assert_eq!(fleet.timeline.merged_total(), 713);
+        assert_eq!(fleet.timeline.dedup_total(), 550);
+        assert!(fleet.metrics.counter("timeline_checkpoints_total") > 0);
         // Pre-kill records (t < 30 s) from both servers survived the
         // takeover, through the checkpoint or an idempotent re-ship.
         for server in [0u64, 1u64] {

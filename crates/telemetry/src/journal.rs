@@ -20,7 +20,8 @@
 
 use crate::metrics::{prom_label, Histogram, MetricsRegistry};
 use powermed_units::Seconds;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// What a knob write attempt came to, as seen by the hardened mediator.
@@ -466,12 +467,28 @@ pub struct EventRecord {
 /// ancient history is summarized by the metrics registry's counters. A
 /// capacity of zero stores nothing (every record counts as evicted),
 /// which keeps an attached-but-journalless configuration legal.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct EventJournal {
     capacity: usize,
-    ring: std::collections::VecDeque<EventRecord>,
+    ring: VecDeque<EventRecord>,
+    /// Wire cost of the oldest `costs.len()` retained records, filled
+    /// by [`EventJournal::digest_since`] the first time a digest reaches
+    /// a record and popped with it on eviction. Emitting never pays for
+    /// it: a journal that never ships never encodes.
+    costs: VecDeque<u32>,
     next_seq: u64,
     evicted: u64,
+}
+
+/// Equality is over the recorded history; the memoized wire costs are
+/// a cache and do not take part.
+impl PartialEq for EventJournal {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.ring == other.ring
+            && self.next_seq == other.next_seq
+            && self.evicted == other.evicted
+    }
 }
 
 impl EventJournal {
@@ -481,7 +498,8 @@ impl EventJournal {
             capacity,
             // Reserve lazily for large capacities: a journal attached to
             // a short smoke run should not pre-commit 64 Ki slots.
-            ring: std::collections::VecDeque::new(),
+            ring: VecDeque::new(),
+            costs: VecDeque::new(),
             next_seq: 0,
             evicted: 0,
         }
@@ -498,6 +516,7 @@ impl EventJournal {
         }
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
+            self.costs.pop_front();
             self.evicted += 1;
         }
         self.ring.push_back(EventRecord {
@@ -561,14 +580,18 @@ impl EventJournal {
     /// carrying the dropped count, stamped with the oldest survivor's
     /// coordinates so every re-ship regenerates the identical gap record
     /// and the idempotent fleet merge dedups it.
-    pub fn digest_since(&self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
+    ///
+    /// The cost is O(records shipped): ring seqs are contiguous, so the
+    /// watermark's record sits at a fixed offset from the oldest one,
+    /// and each record's wire cost is computed once, the first time a
+    /// digest reaches it.
+    pub fn digest_since(&mut self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
         let oldest_retained = self.ring.front().map_or(self.next_seq, |r| r.seq);
         let resume_at = oldest_retained.max(since);
         let dropped = resume_at - since;
         let wrapped = dropped > 0;
         let mut entries = Vec::new();
         let mut bytes = DIGEST_HEADER_BYTES;
-        let mut truncated = 0u64;
         if wrapped {
             let (at, poll, epoch) = self
                 .ring
@@ -584,21 +607,21 @@ impl EventJournal {
             bytes += encoded_cost(&gap);
             entries.push(gap);
         }
-        let mut shipping = true;
-        for rec in self.ring.iter() {
-            if rec.seq < resume_at {
-                continue;
+        // A watermark past the newest record resumes at the ring's end.
+        let start = usize::try_from(resume_at - oldest_retained)
+            .map_or(self.ring.len(), |offset| offset.min(self.ring.len()));
+        let pending = self.ring.len() - start;
+        let mut shipped = 0;
+        for idx in start..self.ring.len() {
+            let cost = self.cost_at(idx);
+            // The delta must stay contiguous: once one record is over
+            // budget, everything after it waits too.
+            if bytes + cost > max_bytes && !entries.is_empty() {
+                break;
             }
-            let cost = encoded_cost(rec);
-            if shipping && (bytes + cost <= max_bytes || entries.is_empty()) {
-                bytes += cost;
-                entries.push(rec.clone());
-            } else {
-                // The delta must stay contiguous: once one record is
-                // over budget, everything after it waits too.
-                shipping = false;
-                truncated += 1;
-            }
+            bytes += cost;
+            entries.push(self.ring[idx].clone());
+            shipped += 1;
         }
         JournalDigest {
             server_id,
@@ -606,9 +629,20 @@ impl EventJournal {
             entries,
             wrapped,
             dropped,
-            truncated,
+            truncated: (pending - shipped) as u64,
             bytes: bytes as u64,
         }
+    }
+
+    /// The wire cost of the retained record at ring index `idx`,
+    /// memoizing it (and any uncosted record before it) on first use.
+    fn cost_at(&mut self, idx: usize) -> usize {
+        while self.costs.len() <= idx {
+            let cost = encoded_cost(&self.ring[self.costs.len()]);
+            self.costs
+                .push_back(u32::try_from(cost).expect("a record encodes in under 4 GiB"));
+        }
+        self.costs[idx] as usize
     }
 }
 
@@ -619,8 +653,18 @@ const DIGEST_HEADER_BYTES: usize = 32;
 /// Deterministic wire-size estimate of one record: the length of its
 /// `Debug` encoding, which is also what [`Obs::digest`] folds — so the
 /// byte cap and the determinism fingerprint agree on what a record is.
+/// Counted through a sink, so no string is built.
 fn encoded_cost(rec: &EventRecord) -> usize {
-    format!("{rec:?}").len()
+    struct ByteCount(usize);
+    impl std::fmt::Write for ByteCount {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    write!(count, "{rec:?}").expect("counting bytes cannot fail");
+    count.0
 }
 
 /// Reserved `server_id` under which a manager merges its own journal
@@ -700,10 +744,31 @@ pub type FleetKey = (u64, u64, u64, u64);
 /// delivery costs nothing but a dedup counter bump. Same-seed runs
 /// produce byte-identical timelines (the `ext_obs` fleet smoke
 /// enforces it).
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The timeline also remembers the order records were admitted in, so a
+/// checkpoint is a [`TimelineMark`] (two counters) rather than a copy,
+/// and [`FleetTimeline::rollback`] undoes everything merged since.
+#[derive(Debug, Clone, Default)]
 pub struct FleetTimeline {
     entries: BTreeMap<FleetKey, FleetRecord>,
-    merged: u64,
+    /// Every key in `entries`, in admission order.
+    log: Vec<FleetKey>,
+    deduped: u64,
+}
+
+/// Equality and [`FleetTimeline::digest`] see the merged content and the
+/// dedup count, never the admission order.
+impl PartialEq for FleetTimeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries && self.deduped == other.deduped
+    }
+}
+
+/// A point in a [`FleetTimeline`]'s merge history (see
+/// [`FleetTimeline::mark`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimelineMark {
+    len: usize,
     deduped: u64,
 }
 
@@ -721,10 +786,19 @@ impl FleetTimeline {
     /// Inserts one record if its key is absent. Returns whether it was
     /// added (false = dedup).
     pub fn insert(&mut self, server_id: u64, record: EventRecord) -> bool {
-        match self.entries.entry(Self::key(server_id, &record)) {
+        self.admit(Self::key(server_id, &record), || FleetRecord {
+            server_id,
+            record,
+        })
+    }
+
+    /// Admits the entry `make` builds under `key` if the key is absent,
+    /// so a duplicate costs a lookup and never a copy.
+    fn admit(&mut self, key: FleetKey, make: impl FnOnce() -> FleetRecord) -> bool {
+        match self.entries.entry(key) {
             std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(FleetRecord { server_id, record });
-                self.merged += 1;
+                slot.insert(make());
+                self.log.push(key);
                 true
             }
             std::collections::btree_map::Entry::Occupied(_) => {
@@ -744,15 +818,45 @@ impl FleetTimeline {
     pub fn merge_records(&mut self, server_id: u64, records: &[EventRecord]) -> u64 {
         records
             .iter()
-            .filter(|r| self.insert(server_id, (*r).clone()))
+            .filter(|r| {
+                self.admit(Self::key(server_id, r), || FleetRecord {
+                    server_id,
+                    record: (*r).clone(),
+                })
+            })
             .count() as u64
     }
 
     /// Merges another timeline in (union of entries).
     pub fn merge(&mut self, other: &FleetTimeline) {
         for entry in other.iter() {
-            self.insert(entry.server_id, entry.record.clone());
+            self.admit(Self::key(entry.server_id, &entry.record), || entry.clone());
         }
+    }
+
+    /// The current point in the merge history, for a later
+    /// [`FleetTimeline::rollback`]. O(1): a checkpoint costs nothing
+    /// however long the timeline grows.
+    pub fn mark(&self) -> TimelineMark {
+        TimelineMark {
+            len: self.log.len(),
+            deduped: self.deduped,
+        }
+    }
+
+    /// Restores the timeline to `mark`: removes every record admitted
+    /// since and restores the dedup count, in O(records removed).
+    /// The result equals a clone taken at the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies past the current history (it was taken on
+    /// another timeline, or before a rollback to an earlier mark).
+    pub fn rollback(&mut self, mark: TimelineMark) {
+        for key in self.log.drain(mark.len..) {
+            self.entries.remove(&key);
+        }
+        self.deduped = mark.deduped;
     }
 
     /// Number of merged records.
@@ -765,9 +869,10 @@ impl FleetTimeline {
         self.entries.is_empty()
     }
 
-    /// Records accepted as new across all merges.
+    /// Records accepted as new across all merges (every one is still
+    /// held, so this is also [`FleetTimeline::len`]).
     pub fn merged_total(&self) -> u64 {
-        self.merged
+        self.log.len() as u64
     }
 
     /// Records rejected as duplicates across all merges — the price of
@@ -1264,7 +1369,7 @@ mod tests {
 
     #[test]
     fn digest_is_a_contiguous_delta_since_the_watermark() {
-        let j = filled(64, 10);
+        let mut j = filled(64, 10);
         let d = j.digest_since(3, 4, 1 << 16);
         assert!(!d.wrapped);
         assert_eq!(d.dropped, 0);
@@ -1281,7 +1386,7 @@ mod tests {
 
     #[test]
     fn digest_byte_cap_truncates_but_the_watermark_still_advances() {
-        let j = filled(64, 12);
+        let mut j = filled(64, 12);
         let mut since = 0u64;
         let mut waves = 0;
         // A budget this small admits one record per wave (the first
@@ -1310,7 +1415,7 @@ mod tests {
         // Capacity 1: three events recorded, only seq 2 survives. The
         // digest must lead with a DigestGap for the two lost records —
         // synthesized, not stored, so the ring itself never recursed.
-        let j = filled(1, 3);
+        let mut j = filled(1, 3);
         let d = j.digest_since(0, 0, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2);
@@ -1325,7 +1430,7 @@ mod tests {
 
     #[test]
     fn wraparound_marks_a_digest_gap_at_cap_two() {
-        let j = filled(2, 5);
+        let mut j = filled(2, 5);
         let d = j.digest_since(0, 1, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 2, "seqs 1 and 2 were overwritten unshipped");
@@ -1342,7 +1447,7 @@ mod tests {
 
     #[test]
     fn empty_ring_past_the_watermark_is_all_gap() {
-        let j = filled(0, 4);
+        let mut j = filled(0, 4);
         let d = j.digest_since(0, 0, 1 << 16);
         assert!(d.wrapped);
         assert_eq!(d.dropped, 4);
@@ -1352,7 +1457,7 @@ mod tests {
 
     #[test]
     fn fleet_merge_is_idempotent_and_counts_dedup() {
-        let j = filled(64, 6);
+        let mut j = filled(64, 6);
         let d = j.digest_since(7, 0, 1 << 16);
         let mut t = FleetTimeline::new();
         assert_eq!(t.merge_digest(&d), 6);
@@ -1392,7 +1497,7 @@ mod tests {
 
     #[test]
     fn fleet_digest_is_sensitive_to_content_and_provenance() {
-        let j = filled(64, 3);
+        let mut j = filled(64, 3);
         let mut a = FleetTimeline::new();
         let mut b = FleetTimeline::new();
         a.merge_digest(&j.digest_since(0, 0, 1 << 16));
@@ -1443,7 +1548,165 @@ mod tests {
             .collect()
     }
 
+    /// The linear-scan extraction the seeking, memoizing
+    /// [`EventJournal::digest_since`] replaced: walk the whole ring,
+    /// skip to the watermark, and format every unshipped record to
+    /// price it. Kept as the reference the fast path must equal.
+    fn reference_digest_since(
+        j: &EventJournal,
+        server_id: u64,
+        since: u64,
+        max_bytes: usize,
+    ) -> JournalDigest {
+        let oldest_retained = j.iter().next().map_or(j.total_recorded(), |r| r.seq);
+        let resume_at = oldest_retained.max(since);
+        let dropped = resume_at - since;
+        let wrapped = dropped > 0;
+        let mut entries = Vec::new();
+        let mut bytes = DIGEST_HEADER_BYTES;
+        let mut truncated = 0u64;
+        if wrapped {
+            let (at, poll, epoch) = j
+                .iter()
+                .next()
+                .map_or((Seconds::ZERO, 0, 0), |r| (r.at, r.poll, r.epoch));
+            let gap = EventRecord {
+                seq: since,
+                at,
+                poll,
+                epoch,
+                event: ObsEvent::DigestGap { dropped },
+            };
+            bytes += format!("{gap:?}").len();
+            entries.push(gap);
+        }
+        let mut shipping = true;
+        for rec in j.iter() {
+            if rec.seq < resume_at {
+                continue;
+            }
+            let cost = format!("{rec:?}").len();
+            if shipping && (bytes + cost <= max_bytes || entries.is_empty()) {
+                bytes += cost;
+                entries.push(rec.clone());
+            } else {
+                shipping = false;
+                truncated += 1;
+            }
+        }
+        JournalDigest {
+            server_id,
+            since,
+            entries,
+            wrapped,
+            dropped,
+            truncated,
+            bytes: bytes as u64,
+        }
+    }
+
+    /// A generated event whose `Debug` length varies with `r`, so byte
+    /// budgets cut digests at varied places.
+    fn generated_event(r: u64) -> ObsEvent {
+        match r % 4 {
+            0 => ObsEvent::ManagerCrash,
+            1 => ObsEvent::UplinkSent {
+                server: (r % 13) as usize,
+                step: r % 1000,
+            },
+            2 => ObsEvent::Arrival {
+                app: "x".repeat((r % 90) as usize),
+            },
+            _ => ObsEvent::Poll {
+                alloc_w: (r % 97) as f64 * 0.25,
+                net_w: 85.0,
+                observed_w: r.is_multiple_of(3).then_some(84.5),
+                cap_w: 90.0,
+                over_cap: r.is_multiple_of(2),
+            },
+        }
+    }
+
     proptest::proptest! {
+        /// The seeking, memoizing extraction equals the linear-scan
+        /// reference on every field, at every watermark and budget, on
+        /// rings that wrapped — and again on a second call, when every
+        /// cost it reads is memoized. Digests taken while the journal
+        /// fills leave a partly filled cost column behind that eviction
+        /// then pops, so the memo is checked under wraparound too.
+        #[test]
+        fn prop_digest_since_matches_the_linear_scan(
+            seed in 0u64..u64::MAX,
+            capacity in 0usize..=8,
+            events in 0u64..=40,
+        ) {
+            let mut s = seed;
+            let mut j = EventJournal::new(capacity);
+            for i in 0..events {
+                let r = mix64(&mut s);
+                j.record(at(i as f64), i / 3, i / 10, generated_event(r));
+                if (r >> 32).is_multiple_of(3) {
+                    let since = mix64(&mut s) % (j.total_recorded() + 1);
+                    let budget = [1, 100, 300][((r >> 40) % 3) as usize];
+                    let expect = reference_digest_since(&j, 1, since, budget);
+                    proptest::prop_assert_eq!(j.digest_since(1, since, budget), expect);
+                }
+            }
+            for since in 0..=j.total_recorded() + 1 {
+                for budget in [1, 100, 300, 1 << 16] {
+                    let expect = reference_digest_since(&j, 5, since, budget);
+                    proptest::prop_assert_eq!(j.digest_since(5, since, budget), expect.clone());
+                    proptest::prop_assert_eq!(j.digest_since(5, since, budget), expect);
+                }
+            }
+        }
+
+        /// Rolling back to a mark lands on exactly the timeline a clone
+        /// taken at the mark holds — even after duplicated, reordered
+        /// delivery past the mark — and the restored timeline keeps
+        /// merging like the clone.
+        #[test]
+        fn prop_rollback_equals_a_clone_taken_at_the_mark(
+            seed in 0u64..u64::MAX,
+            split in 1usize..8,
+            cut in 0usize..64,
+        ) {
+            let fleet = generated_fleet(seed);
+            let mut waves: Vec<(u64, &[EventRecord])> = Vec::new();
+            for (sid, records) in &fleet {
+                for chunk in records.chunks(split) {
+                    waves.push((*sid, chunk));
+                }
+            }
+            let cut = cut % (waves.len() + 1);
+            let mut t = FleetTimeline::new();
+            for (sid, chunk) in &waves[..cut] {
+                t.merge_records(*sid, chunk);
+            }
+            let mark = t.mark();
+            let at_mark = t.clone();
+            // Past the mark: every wave, the pre-mark ones included,
+            // delivered in reverse and twice.
+            for (sid, chunk) in waves.iter().rev() {
+                t.merge_records(*sid, chunk);
+                t.merge_records(*sid, chunk);
+            }
+            t.rollback(mark);
+            proptest::prop_assert!(t.iter().eq(at_mark.iter()));
+            proptest::prop_assert_eq!(t.len(), at_mark.len());
+            proptest::prop_assert_eq!(t.merged_total(), at_mark.merged_total());
+            proptest::prop_assert_eq!(t.dedup_total(), at_mark.dedup_total());
+            proptest::prop_assert_eq!(t.digest(), at_mark.digest());
+            proptest::prop_assert_eq!(&t, &at_mark);
+            let mut twin = at_mark.clone();
+            for (sid, chunk) in &waves {
+                t.merge_records(*sid, chunk);
+                twin.merge_records(*sid, chunk);
+            }
+            proptest::prop_assert_eq!(&t, &twin);
+            proptest::prop_assert_eq!(t.mark(), twin.mark());
+        }
+
         /// Merging the same digest set in any delivery order — with
         /// duplication, reordering, and delayed (split) delivery — lands
         /// on the same timeline: the merge is commutative and idempotent.
