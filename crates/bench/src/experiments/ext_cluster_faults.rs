@@ -27,7 +27,7 @@
 //! fault traces cheaply (`ext_cluster_faults --smoke`).
 
 use powermed_cluster::control::{
-    BreakerConfig, ClusterFaultConfig, ControlOptions, ManagedPolicy, PartitionWindow,
+    self, BreakerConfig, ClusterFaultConfig, ControlOptions, ManagedPolicy, PartitionWindow,
 };
 use powermed_cluster::manager::ClusterManager;
 use powermed_cluster::trace::ClusterPowerTrace;
@@ -188,7 +188,8 @@ pub fn run_one(
         breaker: BreakerConfig::default(),
         ..ControlOptions::perfect(scenario.faults.seed)
     };
-    let report = ClusterManager::new(servers, 7).run_with_control(
+    let report = control::run_cluster(
+        &ClusterManager::new(servers, 7).workload(),
         ManagedPolicy::equal_ours(),
         &caps,
         DT,

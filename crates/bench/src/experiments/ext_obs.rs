@@ -38,7 +38,7 @@
 use std::time::Instant;
 
 use powermed_cluster::control::{
-    BreakerConfig, ClusterFaultConfig, ControlOptions, FleetObsOptions, ManagedPolicy,
+    self, BreakerConfig, ClusterFaultConfig, ControlOptions, FleetObsOptions, ManagedPolicy,
     PartitionWindow, ResilienceReport,
 };
 use powermed_cluster::manager::ClusterManager;
@@ -169,10 +169,9 @@ const WOBBLE_PERIOD: Seconds = Seconds::new(1.0);
 /// on a production server reacting to datacenter cap adjustments. A
 /// bare steady-state run would put a ~60 ns/step all-arithmetic loop in
 /// the denominator, and a ratio against *that* measures lock latency,
-/// not the recorder's cost relative to mediation. Best-of filters
-/// scheduler noise the same way criterion's minimum estimator does, and
-/// physics equality is asserted once per repeat so the two flavors are
-/// provably timing the same work.
+/// not the recorder's cost relative to mediation. Best-of (a minimum
+/// estimator) filters scheduler noise, and physics equality is asserted
+/// once per repeat so the two flavors are provably timing the same work.
 pub fn measure_overhead(repeats: usize) -> (f64, f64) {
     let scenario = reference_scenario(SEED);
     let mix = ext_faults::reference_mix();
@@ -311,7 +310,8 @@ pub fn run_fleet_observed(
         breaker: BreakerConfig::default(),
         ..ControlOptions::perfect(faults.seed)
     };
-    ClusterManager::new(servers, 7).run_flight_recorded(
+    control::run_cluster_flight_recorded(
+        &ClusterManager::new(servers, 7).workload(),
         ManagedPolicy::equal_ours(),
         &caps,
         ext_cluster_faults::DT,

@@ -26,7 +26,7 @@
 //! bit-identical warm-start traces cheaply (`ext_warmstart --smoke`).
 
 use powermed_cluster::control::{
-    BreakerConfig, ClusterFaultConfig, ControlOptions, ManagedPolicy, PartitionWindow,
+    self, BreakerConfig, ClusterFaultConfig, ControlOptions, ManagedPolicy, PartitionWindow,
     WarmStartOptions,
 };
 use powermed_cluster::manager::ClusterManager;
@@ -173,7 +173,8 @@ pub fn run_one(
         }),
         ..ControlOptions::perfect(scenario.faults.seed)
     };
-    let report = ClusterManager::new(servers, 7).run_with_control(
+    let report = control::run_cluster(
+        &ClusterManager::new(servers, 7).workload(),
         ManagedPolicy::equal_ours(),
         &caps,
         DT,

@@ -1,19 +1,26 @@
-//! Kernel-level microbenchmarks for the calibration hot paths, persisted
+//! Kernel-level microbenchmarks for the mediator's hot paths, persisted
 //! to `BENCH_harness.json` (`powermed-bench microbench`).
 //!
-//! The criterion benches under `benches/` print to stdout and vanish;
-//! [`run`] runs the same three kernels through the vendored
-//! criterion shim and writes each mean seconds-per-iteration into a
-//! `microbench` section of the harness document, so kernel-level
-//! regressions are visible in the committed numbers next to the
-//! experiment wall clocks:
+//! [`run`] times every kernel with a plain wall-clock timer (a short
+//! warm-up sizes the iteration count, then one measured batch) and
+//! writes each mean seconds-per-iteration into a `microbench` section of
+//! the harness document, so kernel-level regressions are visible in the
+//! committed numbers next to the experiment wall clocks:
 //!
 //! * `als_fit_corpus_12x432` — one full [`Completion::fit`] over the
 //!   12-app catalog corpus (the unit the fold-model cache saves);
 //! * `fold_in_predict_10pct` — per-arrival fold-in plus fused row
 //!   prediction at the production 10% sampling rate (event E2's kernel);
+//! * `sparse_sampler_10pct_of_432` — drawing that 10% probe schedule;
+//! * `utility_curve_build_30w` — one app's utility curve up to 30 W;
+//! * `exhaustive_measurement_432` — one exhaustive 432-point surface;
 //! * `dp_apportion_6apps` — one DP apportionment over six apps (the
 //!   allocator work on every re-allocation event);
+//! * `dp_apportion_with_cores_3apps` — the same DP with a 12-core budget;
+//! * `slo_plan_two_apps` — one SLO plan for a latency-critical app
+//!   beside a batch app;
+//! * `cluster_dp_ten_servers` — the manager's cap apportionment over
+//!   ten server value curves;
 //! * `disagg_solve_{8,32,128}apps` — one constrained least-squares
 //!   disaggregation solve (the estimated-power stack's per-poll
 //!   kernel) at three app counts;
@@ -30,20 +37,70 @@
 //!   record's wire cost is memoized (the cost of re-shipping an
 //!   unacknowledged backlog);
 //! * `fleet_merge_10x64` — one manager fold wave: ten servers' digests
-//!   of 64 records each merged into a fresh fleet timeline.
+//!   of 64 records each merged into a fresh fleet timeline;
+//! * `raw_sim_step_two_apps` — one unmediated simulator step;
+//! * `mediated_step_app_res_aware` / `mediated_step_esd_cycle` — one
+//!   mediated control step without and with a battery to cycle;
+//! * `admit_with_exhaustive_calibration` — one calibrated admission
+//!   into a fresh server.
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use crate::support::{json_object, merge_harness, DT};
-use criterion::Criterion;
 use powermed_cf::als::{Completion, FitConfig};
 use powermed_cf::sampler::SparseSampler;
+use powermed_cluster::manager::ClusterManager;
 use powermed_core::allocator::PowerAllocator;
 use powermed_core::measurement::AppMeasurement;
+use powermed_core::policy::PolicyKind;
+use powermed_core::runtime::PowerMediator;
+use powermed_core::slo::SloPlanner;
+use powermed_core::utility::UtilityCurve;
 use powermed_disagg::{solve_shares, AppPrior};
-use powermed_server::ServerSpec;
+use powermed_esd::{LeadAcidBattery, NoEsd};
+use powermed_server::{KnobSetting, ServerSpec};
+use powermed_sim::engine::ServerSim;
 use powermed_telemetry::journal::{EventJournal, FleetTimeline, JournalDigest, ObsEvent};
 use powermed_traffic::source::{TrafficConfig, TrafficSource};
 use powermed_units::Seconds;
 use powermed_units::Watts;
-use powermed_workloads::catalog;
+use powermed_workloads::{catalog, mixes};
+
+const WARMUP: Duration = Duration::from_millis(200);
+const MEASURE: Duration = Duration::from_millis(600);
+
+/// Runs kernel bodies and collects `(name, mean seconds per iteration)`
+/// in execution order. A `once` timer calls each body a single time
+/// without timing it and records the name with `0.0`.
+struct Timer {
+    once: bool,
+    results: Vec<(String, f64)>,
+}
+
+impl Timer {
+    fn time<R>(&mut self, name: &str, mut body: impl FnMut() -> R) {
+        if self.once {
+            black_box(body());
+            self.results.push((name.to_string(), 0.0));
+            return;
+        }
+        let warm = Instant::now();
+        let mut warm_iters = 0u64;
+        while warm.elapsed() < WARMUP {
+            black_box(body());
+            warm_iters += 1;
+        }
+        let per_iter = warm.elapsed().as_secs_f64() / warm_iters as f64;
+        let iters = ((MEASURE.as_secs_f64() / per_iter.max(1e-9)) as u64).clamp(1, 10_000_000);
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(body());
+        }
+        let secs = start.elapsed().as_secs_f64() / iters as f64;
+        println!("{name:<44} {:>12.3} µs/iter  ({iters} iters)", secs * 1e6);
+        self.results.push((name.to_string(), secs));
+    }
+}
 
 /// Synthetic priors for the disaggregation-solve kernel: varied
 /// predictions and sigmas, with the meter budget 10% below the prior
@@ -63,6 +120,27 @@ fn disagg_case(n: usize) -> (f64, Vec<AppPrior>) {
 /// Runs every kernel and merges the mean seconds per iteration into the
 /// `microbench` section.
 pub fn run() {
+    let mut timer = Timer {
+        once: false,
+        results: Vec::new(),
+    };
+    kernels(&mut timer);
+    let fields: Vec<(String, String)> = timer
+        .results
+        .iter()
+        .map(|(name, secs)| (name.clone(), format!("{secs:.9}")))
+        .collect();
+    merge_harness(
+        vec![
+            ("microbench", json_object(&fields)),
+            ("microbench_unit", "\"seconds_per_iteration\"".to_string()),
+        ],
+        "merged microbench into BENCH_harness.json",
+    );
+}
+
+/// Builds each kernel's inputs and hands its body to `timer`.
+fn kernels(timer: &mut Timer) {
     let spec = ServerSpec::xeon_e5_2620();
     let apps: Vec<AppMeasurement> = catalog::all()
         .iter()
@@ -77,29 +155,58 @@ pub fn run() {
     }
     let cfg = FitConfig::default();
 
-    let mut crit = Criterion::default();
-    crit.bench_function("als_fit_corpus_12x432", |b| {
-        b.iter(|| Completion::fit(apps.len(), cols, &entries, cfg))
+    timer.time("als_fit_corpus_12x432", || {
+        Completion::fit(apps.len(), cols, &entries, cfg)
     });
 
     let model = Completion::fit(apps.len(), cols, &entries, cfg);
-    let sampled = SparseSampler::new(cols, 3).columns_for(0.10);
+    let sampler = SparseSampler::new(cols, 3);
+    let sampled = sampler.columns_for(0.10);
     let observed: Vec<(usize, f64)> = sampled.iter().map(|&c| (c, 8.0)).collect();
-    crit.bench_function("fold_in_predict_10pct", |b| {
-        b.iter(|| model.predict_row(&model.fold_in(&observed)))
+    timer.time("fold_in_predict_10pct", || {
+        model.predict_row(&model.fold_in(&observed))
+    });
+    timer.time("sparse_sampler_10pct_of_432", || sampler.columns_for(0.10));
+
+    let family = apps[0].feasible_indices();
+    timer.time("utility_curve_build_30w", || {
+        UtilityCurve::build(&apps[0], &family, Watts::new(30.0), Watts::new(1.0))
+    });
+    let bfs = catalog::bfs();
+    timer.time("exhaustive_measurement_432", || {
+        AppMeasurement::exhaustive(&spec, &bfs)
     });
 
     let slice: Vec<(&AppMeasurement, Option<&[usize]>)> =
         apps.iter().take(6).map(|m| (m, None)).collect();
     let alloc = PowerAllocator::default();
-    crit.bench_function("dp_apportion_6apps", |b| {
-        b.iter(|| alloc.apportion(&slice, Watts::new(30.0)))
+    timer.time("dp_apportion_6apps", || {
+        alloc.apportion(&slice, Watts::new(30.0))
+    });
+    timer.time("dp_apportion_with_cores_3apps", || {
+        alloc.apportion_with_cores(&slice[..3], Watts::new(40.0), 12)
+    });
+
+    let planner = SloPlanner::new(spec.clone());
+    let lc = AppMeasurement::exhaustive(&spec, &catalog::x264().with_slo(0.8));
+    let pair = [("x264", &lc), ("bfs", &apps[2])];
+    timer.time("slo_plan_two_apps", || {
+        planner.plan(&pair, Watts::new(95.0))
+    });
+
+    let vals = [
+        0.00, 0.07, 0.13, 0.21, 0.28, 0.36, 0.44, 0.53, 0.58, 0.77, 0.90, 0.99, 1.00, 1.00,
+    ];
+    let curve: Vec<(Watts, f64)> = ClusterManager::candidate_caps().zip(vals).collect();
+    let curves = vec![curve; 10];
+    timer.time("cluster_dp_ten_servers", || {
+        ClusterManager::apportion_cluster(&curves, Watts::new(900.0))
     });
 
     for n in [8usize, 32, 128] {
         let (total, priors) = disagg_case(n);
-        crit.bench_function(&format!("disagg_solve_{n}apps"), |b| {
-            b.iter(|| solve_shares(total, &priors))
+        timer.time(&format!("disagg_solve_{n}apps"), || {
+            solve_shares(total, &priors)
         });
     }
 
@@ -107,14 +214,12 @@ pub fn run() {
     // server: the fixed per-server cost every `ext_traffic` cell pays.
     let two_apps = vec![("front".to_string(), 4000.0), ("batch".to_string(), 9000.0)];
     let day_steps = (TrafficConfig::default().day.value() / DT.value()).round() as u64;
-    crit.bench_function("traffic_gen_1day", |b| {
-        b.iter(|| {
-            let mut source = TrafficSource::new(TrafficConfig::default(), &two_apps);
-            for step in 0..day_steps {
-                source.begin_step(Seconds::new(step as f64 * DT.value()), DT);
-            }
-            source.stats().requests
-        })
+    timer.time("traffic_gen_1day", || {
+        let mut source = TrafficSource::new(TrafficConfig::default(), &two_apps);
+        for step in 0..day_steps {
+            source.begin_step(Seconds::new(step as f64 * DT.value()), DT);
+        }
+        source.stats().requests
     });
 
     // One generate-and-serve step across 128 apps: how demand
@@ -124,17 +229,15 @@ pub fn run() {
         .collect();
     let mut wide = TrafficSource::new(TrafficConfig::default(), &many_apps);
     let mut step = 0u64;
-    crit.bench_function("demand_agg_128apps", |b| {
-        b.iter(|| {
-            step += 1;
-            let now = Seconds::new(step as f64 * DT.value());
-            wide.begin_step(now, DT);
-            let mut served = 0.0;
-            for (name, capacity) in &many_apps {
-                served += wide.serve(name, capacity * DT.value(), now);
-            }
-            served
-        })
+    timer.time("demand_agg_128apps", || {
+        step += 1;
+        let now = Seconds::new(step as f64 * DT.value());
+        wide.begin_step(now, DT);
+        let mut served = 0.0;
+        for (name, capacity) in &many_apps {
+            served += wide.serve(name, capacity * DT.value(), now);
+        }
+        served
     });
 
     // One bounded digest extraction over a 1k-record journal under the
@@ -157,12 +260,12 @@ pub fn run() {
             },
         );
     }
-    crit.bench_function("journal_digest_encode_1k", |b| {
-        b.iter(|| journal.clone().digest_since(3, 0, 8192))
+    timer.time("journal_digest_encode_1k", || {
+        journal.clone().digest_since(3, 0, 8192)
     });
     journal.digest_since(3, 0, 8192);
-    crit.bench_function("journal_digest_reship_1k", |b| {
-        b.iter(|| journal.digest_since(3, 0, 8192))
+    timer.time("journal_digest_reship_1k", || {
+        journal.digest_since(3, 0, 8192)
     });
 
     // One manager fold wave: ten servers' digests of 64 records each
@@ -185,26 +288,81 @@ pub fn run() {
             j.digest_since(s, 0, usize::MAX)
         })
         .collect();
-    crit.bench_function("fleet_merge_10x64", |b| {
-        b.iter(|| {
-            let mut timeline = FleetTimeline::new();
-            for d in &digests {
-                timeline.merge_digest(d);
-            }
-            timeline.len()
-        })
+    timer.time("fleet_merge_10x64", || {
+        let mut timeline = FleetTimeline::new();
+        for d in &digests {
+            timeline.merge_digest(d);
+        }
+        timeline.len()
     });
 
-    let fields: Vec<(String, String)> = crit
-        .results()
-        .iter()
-        .map(|(name, secs)| (name.clone(), format!("{secs:.9}")))
-        .collect();
-    merge_harness(
-        vec![
-            ("microbench", json_object(&fields)),
-            ("microbench_unit", "\"seconds_per_iteration\"".to_string()),
-        ],
-        "merged microbench into BENCH_harness.json",
-    );
+    let mix1 = mixes::mix(1).unwrap();
+    let mut sim = ServerSim::new(spec.clone(), Box::new(NoEsd));
+    let knob = KnobSetting::max_for(&spec).with_cores(4);
+    for app in mix1.apps() {
+        sim.host(app.clone(), knob).unwrap();
+    }
+    timer.time("raw_sim_step_two_apps", || sim.step(DT));
+
+    let mut sim = ServerSim::new(spec.clone(), Box::new(NoEsd));
+    let mut med = PowerMediator::new(PolicyKind::AppResAware, spec.clone(), Watts::new(100.0));
+    for app in mixes::mix(10).unwrap().apps() {
+        med.admit(&mut sim, app.clone()).unwrap();
+    }
+    timer.time("mediated_step_app_res_aware", || med.step(&mut sim, DT));
+
+    let battery = LeadAcidBattery::server_ups().with_soc(0.5);
+    let mut sim = ServerSim::new(spec.clone(), Box::new(battery));
+    let mut med = PowerMediator::new(PolicyKind::AppResEsdAware, spec.clone(), Watts::new(80.0));
+    for app in mix1.apps() {
+        med.admit(&mut sim, app.clone()).unwrap();
+    }
+    timer.time("mediated_step_esd_cycle", || med.step(&mut sim, DT));
+
+    timer.time("admit_with_exhaustive_calibration", || {
+        let mut sim = ServerSim::new(spec.clone(), Box::new(NoEsd));
+        let mut med = PowerMediator::new(PolicyKind::AppResAware, spec.clone(), Watts::new(100.0));
+        med.admit(&mut sim, mix1.app1.clone()).unwrap();
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_kernel_runs_once_under_its_harness_name() {
+        let mut timer = Timer {
+            once: true,
+            results: Vec::new(),
+        };
+        kernels(&mut timer);
+        let names: Vec<&str> = timer.results.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "als_fit_corpus_12x432",
+                "fold_in_predict_10pct",
+                "sparse_sampler_10pct_of_432",
+                "utility_curve_build_30w",
+                "exhaustive_measurement_432",
+                "dp_apportion_6apps",
+                "dp_apportion_with_cores_3apps",
+                "slo_plan_two_apps",
+                "cluster_dp_ten_servers",
+                "disagg_solve_8apps",
+                "disagg_solve_32apps",
+                "disagg_solve_128apps",
+                "traffic_gen_1day",
+                "demand_agg_128apps",
+                "journal_digest_encode_1k",
+                "journal_digest_reship_1k",
+                "fleet_merge_10x64",
+                "raw_sim_step_two_apps",
+                "mediated_step_app_res_aware",
+                "mediated_step_esd_cycle",
+                "admit_with_exhaustive_calibration",
+            ]
+        );
+    }
 }

@@ -285,22 +285,9 @@ impl Completion {
         FoldedRow { bias, factors }
     }
 
-    /// Predicts column `col` for a folded-in row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn predict_folded(&self, row: &FoldedRow, col: usize) -> f64 {
-        let k = self.factors;
-        self.mean
-            + row.bias
-            + self.item_bias[col]
-            + dot(&row.factors, &self.item_f[col * k..(col + 1) * k])
-    }
-
-    /// Predicts every column for a folded-in row: a fused sweep over the
-    /// flat item buffers, equivalent to calling [`Self::predict_folded`]
-    /// per column but without the per-column dispatch.
+    /// Predicts every column for a folded-in row: global mean plus row
+    /// and column biases plus the factor dot product, in one fused sweep
+    /// over the flat item buffers.
     pub fn predict_row(&self, row: &FoldedRow) -> Vec<f64> {
         let k = self.factors;
         self.item_bias

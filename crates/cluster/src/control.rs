@@ -42,7 +42,6 @@ use powermed_units::{Joules, Ratio, Seconds, Watts};
 use powermed_workloads::mixes::Mix;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::agent::{AgentConfig, ServerAgent};
 use crate::manager::{ClusterManager, ClusterPolicy, ClusterReport};
@@ -130,7 +129,7 @@ impl Uplink {
 
 /// One server's scheduled partition from the manager: both directions of
 /// its channel are cut for `from_step <= step < until_step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// The partitioned server.
     pub server: usize,
@@ -153,7 +152,7 @@ impl PartitionWindow {
 /// knob is non-zero, so flavors compared under the same seed see the
 /// same fault history (common random numbers) and a fully zeroed config
 /// consumes no randomness at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterFaultConfig {
     /// Seed for every per-channel splitmix64 stream.
     pub seed: u64,
@@ -220,7 +219,7 @@ impl ClusterFaultConfig {
 }
 
 /// One event in the deterministic fault/response history of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterFaultEvent {
     /// A downlink to `server` was dropped.
     DownlinkDropped {
@@ -269,7 +268,7 @@ pub enum ClusterFaultEvent {
 }
 
 /// A timestamped [`ClusterFaultEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterFaultRecord {
     /// Control step the event occurred at.
     pub step: u64,
@@ -630,7 +629,7 @@ impl ControlPlane {
 }
 
 /// How the manager splits the cluster budget across servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Apportionment {
     /// Even split across alive servers.
     Equal,

@@ -4,7 +4,6 @@ use powermed_server::{KnobSetting, ServerSpec};
 use powermed_units::{Joules, Seconds, Watts};
 use powermed_workloads::mixes::{self, Mix};
 use powermed_workloads::profile::AppProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::control::{self, ControlOptions, ManagedPolicy};
 use crate::trace::ClusterPowerTrace;
@@ -14,7 +13,7 @@ use crate::trace::ClusterPowerTrace;
 const SERVER_LOADED_W: f64 = 105.0;
 
 /// Cluster-level power management strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterPolicy {
     /// Even split; servers enforce with utility-unaware RAPL capping.
     EqualRapl,
@@ -50,7 +49,7 @@ impl core::fmt::Display for ClusterPolicy {
 }
 
 /// Outcome of one cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// The strategy evaluated.
     pub policy: ClusterPolicy,
@@ -137,35 +136,6 @@ impl ClusterManager {
             &ControlOptions::perfect(self.seed),
         )
         .report
-    }
-
-    /// Runs `policy` through the control plane under an explicit fault
-    /// and resilience configuration, returning the full resilience
-    /// report (violation-seconds, fault counters, telemetry series).
-    pub fn run_with_control(
-        &self,
-        policy: ManagedPolicy,
-        trace: &ClusterPowerTrace,
-        dt: Seconds,
-        options: &ControlOptions,
-    ) -> crate::control::ResilienceReport {
-        control::run_cluster(&self.workload(), policy, trace, dt, options)
-    }
-
-    /// [`ClusterManager::run_with_control`] with the fleet flight
-    /// recorder on: every server journals locally and ships digests
-    /// upstream, and the returned report carries the manager's merged
-    /// [`powermed_telemetry::FleetTimeline`] in
-    /// [`crate::control::ResilienceReport::fleet`].
-    pub fn run_flight_recorded(
-        &self,
-        policy: ManagedPolicy,
-        trace: &ClusterPowerTrace,
-        dt: Seconds,
-        options: &ControlOptions,
-        fleet: &control::FleetObsOptions,
-    ) -> crate::control::ResilienceReport {
-        control::run_cluster_flight_recorded(&self.workload(), policy, trace, dt, options, fleet)
     }
 
     /// Candidate per-server caps: 50 W (parked at idle) through 115 W in

@@ -10,14 +10,13 @@
 use powermed_units::{Ratio, Seconds, Watts};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Peak demand attributed to one loaded shared server, including supply
 /// overheads (PSU losses, fans) on top of the ~105 W IT draw.
 const SERVER_PEAK_W: f64 = 115.0;
 
 /// A time series of cluster-level power values (demand or caps).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterPowerTrace {
     samples: Vec<(Seconds, Watts)>,
 }

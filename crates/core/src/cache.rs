@@ -25,9 +25,8 @@
 use std::collections::HashMap;
 use std::fmt::{self, Debug, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use powermed_cf::als::Completion;
 use powermed_server::ServerSpec;
 use powermed_workloads::AppProfile;
@@ -52,6 +51,18 @@ fn fingerprint<T: Debug>(value: &T) -> u64 {
     // Debug formatting of plain data types cannot fail.
     write!(w, "{value:?}").expect("debug formatting failed");
     w.0
+}
+
+/// Read-locks `lock`, recovering the guard if a writer panicked: the
+/// maps only ever gain complete entries, so a poisoned one is still
+/// consistent.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, recovering the guard like [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[derive(Default)]
@@ -101,13 +112,13 @@ impl MeasurementCache {
     /// stand in for probe-based calibration.
     pub fn measure(&self, spec: &ServerSpec, profile: &AppProfile) -> Arc<AppMeasurement> {
         let key = (fingerprint(spec), fingerprint(profile));
-        if let Some(found) = self.inner.surfaces.read().get(&key) {
+        if let Some(found) = read(&self.inner.surfaces).get(&key) {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(found);
         }
         self.inner.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = Arc::new(AppMeasurement::exhaustive(spec, profile));
-        let mut surfaces = self.inner.surfaces.write();
+        let mut surfaces = write(&self.inner.surfaces);
         Arc::clone(surfaces.entry(key).or_insert(fresh))
     }
 
@@ -125,13 +136,13 @@ impl MeasurementCache {
         key: u64,
         build: impl FnOnce() -> (Completion, Completion),
     ) -> Arc<(Completion, Completion)> {
-        if let Some(found) = self.inner.models.read().get(&key) {
+        if let Some(found) = read(&self.inner.models).get(&key) {
             self.inner.model_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(found);
         }
         self.inner.model_misses.fetch_add(1, Ordering::Relaxed);
         let fresh = Arc::new(build());
-        let mut models = self.inner.models.write();
+        let mut models = write(&self.inner.models);
         Arc::clone(models.entry(key).or_insert(fresh))
     }
 
@@ -147,12 +158,12 @@ impl MeasurementCache {
 
     /// Number of distinct completion-model pairs stored.
     pub fn model_count(&self) -> usize {
-        self.inner.models.read().len()
+        read(&self.inner.models).len()
     }
 
     /// Number of distinct `(spec, profile)` surfaces stored.
     pub fn len(&self) -> usize {
-        self.inner.surfaces.read().len()
+        read(&self.inner.surfaces).len()
     }
 
     /// Whether the cache holds no surfaces.
@@ -173,10 +184,10 @@ impl MeasurementCache {
     /// Drops every stored surface and model pair and resets the
     /// hit/miss counters.
     pub fn clear(&self) {
-        self.inner.surfaces.write().clear();
+        write(&self.inner.surfaces).clear();
         self.inner.hits.store(0, Ordering::Relaxed);
         self.inner.misses.store(0, Ordering::Relaxed);
-        self.inner.models.write().clear();
+        write(&self.inner.models).clear();
         self.inner.model_hits.store(0, Ordering::Relaxed);
         self.inner.model_misses.store(0, Ordering::Relaxed);
     }

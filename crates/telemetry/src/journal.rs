@@ -22,7 +22,7 @@ use crate::metrics::{prom_label, Histogram, MetricsRegistry};
 use powermed_units::Seconds;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a knob write attempt came to, as seen by the hardened mediator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -966,12 +966,12 @@ impl ObsCore {
 /// Producers (`PowerMediator`, `ServerSim`, `ControlPlane`, agents)
 /// each hold an `Option<Obs>`; cloning the handle shares the same
 /// journal and registry, so a server's simulator and mediator write
-/// interleaved records into one flight recorder. The mutex is
-/// `parking_lot`'s (no poisoning), matching
-/// [`crate::recorder::SharedRecorder`].
+/// interleaved records into one flight recorder. A panic while the
+/// lock is held does not poison the plane: `Obs::core` recovers the
+/// guard, so the other holders keep recording.
 #[derive(Debug, Clone)]
 pub struct Obs {
-    inner: Arc<parking_lot::Mutex<ObsCore>>,
+    inner: Arc<Mutex<ObsCore>>,
 }
 
 impl Default for Obs {
@@ -985,7 +985,7 @@ impl Obs {
     pub fn new(config: ObsConfig) -> Self {
         let journal = EventJournal::new(config.journal_capacity);
         Self {
-            inner: Arc::new(parking_lot::Mutex::new(ObsCore {
+            inner: Arc::new(Mutex::new(ObsCore {
                 config,
                 journal,
                 metrics: MetricsRegistry::new(),
@@ -997,10 +997,15 @@ impl Obs {
         }
     }
 
+    /// Locks the plane, recovering the guard if a holder panicked.
+    fn core(&self) -> MutexGuard<'_, ObsCore> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Starts a new accounting poll and returns its sequence number
     /// (1-based; 0 means "before the first poll").
     pub fn begin_poll(&self) -> u64 {
-        let mut core = self.inner.lock();
+        let mut core = self.core();
         core.poll += 1;
         core.metrics.inc("polls_total");
         core.poll
@@ -1008,12 +1013,12 @@ impl Obs {
 
     /// The current poll sequence number.
     pub fn poll(&self) -> u64 {
-        self.inner.lock().poll
+        self.core().poll
     }
 
     /// Sets the control-plane epoch stamped on subsequent records.
     pub fn set_epoch(&self, epoch: u64) {
-        self.inner.lock().epoch = epoch;
+        self.core().epoch = epoch;
     }
 
     /// Appends `event` to the journal at simulation time `at`, stamped
@@ -1025,7 +1030,7 @@ impl Obs {
     /// ([`Obs::metrics`] / [`Obs::digest`]), so this hot path does one
     /// lock, one map bump and one ring push — no string formatting.
     pub fn emit(&self, at: Seconds, event: ObsEvent) {
-        let mut core = self.inner.lock();
+        let mut core = self.core();
         *core.by_kind.entry(event.kind()).or_insert(0) += 1;
         let (poll, epoch) = (core.poll, core.epoch);
         core.journal.record(at, poll, epoch, event);
@@ -1033,22 +1038,22 @@ impl Obs {
 
     /// Increments the counter `name`.
     pub fn inc(&self, name: &str) {
-        self.inner.lock().metrics.inc(name);
+        self.core().metrics.inc(name);
     }
 
     /// Increments the counter `name` by `by`.
     pub fn inc_by(&self, name: &str, by: u64) {
-        self.inner.lock().metrics.inc_by(name, by);
+        self.core().metrics.inc_by(name, by);
     }
 
     /// Sets the gauge `name` to `v`.
     pub fn set_gauge(&self, name: &str, v: f64) {
-        self.inner.lock().metrics.set_gauge(name, v);
+        self.core().metrics.set_gauge(name, v);
     }
 
     /// Records `v` into the histogram `name` (default log layout).
     pub fn observe(&self, name: &str, v: f64) {
-        self.inner.lock().metrics.observe(name, v);
+        self.core().metrics.observe(name, v);
     }
 
     /// Feeds one heartbeat-rate reading for `app`; the absolute change
@@ -1056,7 +1061,7 @@ impl Obs {
     /// histogram. Rates are simulation-derived, so this stays
     /// deterministic and digest-safe.
     pub fn note_heartbeat(&self, app: &str, rate: f64) {
-        let mut guard = self.inner.lock();
+        let mut guard = self.core();
         let core = &mut *guard;
         if let Some(prev) = core.last_rate.get_mut(app) {
             let jitter = (rate - *prev).abs();
@@ -1073,7 +1078,7 @@ impl Obs {
     /// is returned when spans are disabled in the config. Span
     /// histograms never enter [`Obs::digest`].
     pub fn span(&self, name: &'static str) -> ObsSpan {
-        let enabled = self.inner.lock().config.spans;
+        let enabled = self.core().config.spans;
         ObsSpan {
             obs: enabled.then(|| self.clone()),
             name,
@@ -1083,21 +1088,20 @@ impl Obs {
 
     /// A copy of the retained journal records, oldest-first.
     pub fn journal_snapshot(&self) -> Vec<EventRecord> {
-        self.inner.lock().journal.iter().cloned().collect()
+        self.core().journal.iter().cloned().collect()
     }
 
     /// Extracts a bounded shipping digest of the journal since the
     /// receiver's watermark (see [`EventJournal::digest_since`]).
     pub fn digest_since(&self, server_id: u64, since: u64, max_bytes: usize) -> JournalDigest {
-        self.inner
-            .lock()
+        self.core()
             .journal
             .digest_since(server_id, since, max_bytes)
     }
 
     /// `(retained, evicted, total)` journal record counts.
     pub fn journal_counts(&self) -> (usize, u64, u64) {
-        let core = self.inner.lock();
+        let core = self.core();
         (
             core.journal.len(),
             core.journal.evicted(),
@@ -1109,15 +1113,12 @@ impl Obs {
     /// tallies folded into `events_total` and
     /// `events_by_kind_total{kind="…"}`.
     pub fn metrics(&self) -> MetricsRegistry {
-        self.inner.lock().merged_metrics()
+        self.core().merged_metrics()
     }
 
     /// Registers a custom histogram layout under `name`.
     pub fn register_histogram(&self, name: &str, histogram: Histogram) {
-        self.inner
-            .lock()
-            .metrics
-            .register_histogram(name, histogram);
+        self.core().metrics.register_histogram(name, histogram);
     }
 
     /// FNV-1a digest over the journal and the deterministic part of the
@@ -1126,7 +1127,7 @@ impl Obs {
     /// across machines and runs — the property the `ext_obs --smoke`
     /// double-run check in CI asserts.
     pub fn digest(&self) -> u64 {
-        let core = self.inner.lock();
+        let core = self.core();
         let merged = core.merged_metrics();
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut fold = |bytes: &[u8]| {

@@ -42,5 +42,5 @@ pub use journal::{
 };
 pub use meter::{CapCompliance, PowerMeter};
 pub use metrics::{prom_label, Histogram, MetricsRegistry};
-pub use recorder::{SharedRecorder, TraceRecorder};
+pub use recorder::TraceRecorder;
 pub use store::ProfileStoreStats;

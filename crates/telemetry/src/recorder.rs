@@ -6,14 +6,11 @@
 //! the exact series.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
 use powermed_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A set of named `(time, value)` series.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceRecorder {
     series: BTreeMap<String, Vec<(Seconds, f64)>>,
 }
@@ -125,33 +122,6 @@ impl TraceRecorder {
     }
 }
 
-/// A clonable, thread-safe handle to a [`TraceRecorder`], for sim
-/// callbacks that outlive a single `&mut` borrow.
-#[derive(Debug, Clone, Default)]
-pub struct SharedRecorder(Arc<Mutex<TraceRecorder>>);
-
-impl SharedRecorder {
-    /// Creates a handle to a fresh recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point (see [`TraceRecorder::push`]).
-    pub fn push(&self, series: &str, at: Seconds, value: f64) {
-        self.0.lock().push(series, at, value);
-    }
-
-    /// Runs `f` with shared access to the recorder.
-    pub fn with<R>(&self, f: impl FnOnce(&TraceRecorder) -> R) -> R {
-        f(&self.0.lock())
-    }
-
-    /// Takes a snapshot of the current contents.
-    pub fn snapshot(&self) -> TraceRecorder {
-        self.0.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,15 +190,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.series("x").unwrap().len(), 2);
         assert_eq!(a.last("y"), Some(3.0));
-    }
-
-    #[test]
-    fn shared_recorder_roundtrip() {
-        let shared = SharedRecorder::new();
-        let clone = shared.clone();
-        clone.push("p", Seconds::new(0.0), 42.0);
-        assert_eq!(shared.with(|r| r.last("p")), Some(42.0));
-        let snap = shared.snapshot();
-        assert_eq!(snap.last("p"), Some(42.0));
     }
 }

@@ -11,7 +11,6 @@ use powermed_units::Seconds;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::catalog;
 use crate::mixes::{Mix, MixId};
@@ -24,7 +23,7 @@ pub struct WorkloadGenerator {
 }
 
 /// One scripted arrival: an application and when it shows up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Arrival {
     /// The arriving application.
     pub profile: AppProfile,
