@@ -369,6 +369,17 @@ mod tests {
 
     #[test]
     #[ignore = "slow in debug builds; run with --release or --ignored"]
+    fn no_store_ever_evicts() {
+        // Agents merge only the entries that changed, so downlink waves
+        // do not refresh recency (the LRU order): invisible while every
+        // store fits its capacity.
+        for (s, _, warm) in run_grid() {
+            assert_eq!(warm.store.evictions, 0, "{}", s.label);
+        }
+    }
+
+    #[test]
+    #[ignore = "slow in debug builds; run with --release or --ignored"]
     fn heavy_churn_saves_even_more() {
         let rows = run_grid();
         let (s, cold, warm) = &rows[2];

@@ -162,7 +162,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
             ext_warmstart::smoke_digest,
             ext_warmstart::SEED,
         )],
-        budget: Some(10.0),
+        budget: Some(1.0),
         ..extension("ext_warmstart", Report::Section(ext_warmstart::print))
     },
     Experiment {

@@ -38,6 +38,9 @@
 //!   unacknowledged backlog);
 //! * `fleet_merge_10x64` — one manager fold wave: ten servers' digests
 //!   of 64 records each merged into a fresh fleet timeline;
+//! * `profile_merge_identical` — a 16-entry profile store's digests
+//!   merged into an identical replica (the per-wave agent path of the
+//!   knowledge plane once the fleet has converged);
 //! * `raw_sim_step_two_apps` — one unmediated simulator step;
 //! * `mediated_step_app_res_aware` / `mediated_step_esd_cycle` — one
 //!   mediated control step without and with a battery to cycle;
@@ -49,6 +52,7 @@ use std::time::{Duration, Instant};
 use crate::support::{json_object, merge_harness, DT};
 use powermed_cf::als::{Completion, FitConfig};
 use powermed_cf::sampler::SparseSampler;
+use powermed_cf::FoldedRow;
 use powermed_cluster::manager::ClusterManager;
 use powermed_core::allocator::PowerAllocator;
 use powermed_core::measurement::AppMeasurement;
@@ -58,6 +62,9 @@ use powermed_core::slo::SloPlanner;
 use powermed_core::utility::UtilityCurve;
 use powermed_disagg::{solve_shares, AppPrior};
 use powermed_esd::{LeadAcidBattery, NoEsd};
+use powermed_profiles::{
+    AppFingerprint, ProbeSample, ProfileDigest, ProfileStore, Provenance, StoredProfile,
+};
 use powermed_server::{KnobSetting, ServerSpec};
 use powermed_sim::engine::ServerSim;
 use powermed_telemetry::journal::{EventJournal, FleetTimeline, JournalDigest, ObsEvent};
@@ -296,6 +303,39 @@ fn kernels(timer: &mut Timer) {
         timeline.len()
     });
 
+    // The knowledge plane's per-wave agent path: a 16-entry store's
+    // digests (10% probe schedules, rank-4 folded rows) merged into an
+    // identical replica, where every merge is a tie.
+    let profiles: Vec<ProfileDigest> = (0..16u64)
+        .map(|i| ProfileDigest {
+            fingerprint: AppFingerprint::from_raw(i),
+            profile: StoredProfile {
+                version: 1,
+                confidence: 0.9,
+                samples: sampled
+                    .iter()
+                    .map(|&col| ProbeSample {
+                        col,
+                        power_w: 10.0 + i as f64 + col as f64 * 0.01,
+                        perf: 100.0 + col as f64,
+                    })
+                    .collect(),
+                power_row: FoldedRow::new(0.5, vec![0.1 * i as f64; 4]),
+                perf_row: FoldedRow::new(-0.5, vec![0.2; 4]),
+                provenance: Provenance {
+                    server: i % 10,
+                    epoch: 3,
+                    probes: sampled.len() as u64,
+                },
+            },
+        })
+        .collect();
+    let mut replica = ProfileStore::default();
+    replica.merge_digests(&profiles);
+    timer.time("profile_merge_identical", || {
+        replica.merge_digests(&profiles)
+    });
+
     let mix1 = mixes::mix(1).unwrap();
     let mut sim = ServerSim::new(spec.clone(), Box::new(NoEsd));
     let knob = KnobSetting::max_for(&spec).with_cores(4);
@@ -358,6 +398,7 @@ mod tests {
                 "journal_digest_encode_1k",
                 "journal_digest_reship_1k",
                 "fleet_merge_10x64",
+                "profile_merge_identical",
                 "raw_sim_step_two_apps",
                 "mediated_step_app_res_aware",
                 "mediated_step_esd_cycle",

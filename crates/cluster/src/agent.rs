@@ -30,7 +30,7 @@ use powermed_telemetry::ProfileStoreStats;
 use powermed_units::{Seconds, Watts};
 use powermed_workloads::mixes::Mix;
 
-use crate::control::{Downlink, WarmStartOptions};
+use crate::control::{Downlink, StoreMark, WarmStartOptions};
 use crate::fleet::{self, WarmBoot};
 
 /// Tuning of the resilient agent's fallback behavior.
@@ -105,6 +105,10 @@ pub struct ServerAgent {
     /// restored by [`ServerAgent::restart`] (local disk survives a
     /// reboot even though the applications and ESD state do not).
     store_snapshot: Option<String>,
+    /// Newest manager store mark whose delta this agent has merged —
+    /// acked on every uplink. Persisted across crash/restart with the
+    /// store snapshot, which holds everything merged up to it.
+    profiles_through: StoreMark,
     /// Probe accounting banked from previous incarnations.
     probes_before: ProbeSplit,
     /// Store counters banked from previous incarnations.
@@ -196,6 +200,7 @@ impl ServerAgent {
             server_id,
             warm: warm.cloned(),
             store_snapshot: None,
+            profiles_through: StoreMark::default(),
             probes_before: ProbeSplit::default(),
             store_stats_before: ProfileStoreStats::default(),
             obs: None,
@@ -282,11 +287,14 @@ impl ServerAgent {
         }
         // Knowledge-plane payloads merge unconditionally — digests form
         // a semilattice, so even a stale or reordered downlink can only
-        // add knowledge, never regress it.
+        // add knowledge, never regress it. Each delta starts at a mark
+        // this agent acked, so after merging it the agent holds the
+        // manager's store through the delta's own mark.
         for m in msgs {
             if !m.profiles.is_empty() {
                 self.mediator.absorb_digests(&m.profiles);
             }
+            self.profiles_through = self.profiles_through.max(m.profiles_through);
         }
         if let Some(freshest) = msgs.iter().map(|m| m.epoch).max() {
             self.mediator.set_store_epoch(freshest);
@@ -519,6 +527,12 @@ impl ServerAgent {
     /// uplink's knowledge-plane payload).
     pub fn take_profile_digests(&mut self) -> Vec<ProfileDigest> {
         self.mediator.take_store_outbox()
+    }
+
+    /// The newest manager store mark this agent has merged through (the
+    /// uplink's knowledge-plane ack).
+    pub fn profiles_through(&self) -> StoreMark {
+        self.profiles_through
     }
 
     /// Probe accounting across all incarnations.

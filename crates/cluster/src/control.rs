@@ -61,11 +61,16 @@ pub struct Downlink {
     /// cap it already enforces without re-actuating — re-planning is not
     /// free, and a repair carrying the value in force has nothing to fix.
     pub repair: bool,
-    /// Knowledge-plane payload: the manager's profile digests, merged
-    /// into the agent's store on receipt (empty when warm start is off).
-    /// Digests are a semilattice, so stale or reordered deliveries are
-    /// harmless — merge is commutative and idempotent.
+    /// Knowledge-plane payload: the manager's store entries that
+    /// changed since this server's acknowledged [`StoreMark`] (the whole
+    /// store on a new manager incarnation's first wave), merged into the
+    /// agent's store on receipt. Empty when warm start is off or nothing
+    /// changed. Digests are a semilattice, so stale or reordered
+    /// deliveries are harmless — merge is commutative and idempotent.
     pub profiles: Vec<ProfileDigest>,
+    /// The manager's store mark when this wave was sent: an agent that
+    /// merges `profiles` holds every manager entry as of this mark.
+    pub profiles_through: StoreMark,
     /// Flight-recorder ack watermark: the manager has merged this
     /// server's journal records below this sequence number into the
     /// fleet timeline, so the agent's next digest starts here. Always 0
@@ -82,6 +87,7 @@ impl Downlink {
             cap,
             repair,
             profiles: Vec::new(),
+            profiles_through: StoreMark::default(),
             journal_acked: 0,
         }
     }
@@ -99,6 +105,9 @@ pub struct Uplink {
     /// Knowledge-plane payload: profile digests this server published
     /// since its last report (empty when warm start is off).
     pub profiles: Vec<ProfileDigest>,
+    /// Knowledge-plane ack: the newest manager store mark this server
+    /// has merged through. The manager's next delta starts there.
+    pub profiles_acked: StoreMark,
     /// Estimated per-app dynamic shares in watts, from the server's
     /// non-intrusive disaggregation layer — what a real deployment can
     /// actually report upstream, since no per-app power meter exists.
@@ -121,10 +130,25 @@ impl Uplink {
             sent_step,
             net_power,
             profiles: Vec::new(),
+            profiles_acked: StoreMark::default(),
             app_shares: Vec::new(),
             journal: None,
         }
     }
+}
+
+/// A point in the manager's profile-store history: the manager
+/// incarnation (bumped on every takeover) and that incarnation's store
+/// change counter ([`ProfileStore::changes`]). A standby's store —
+/// restored from a checkpoint or empty — counts changes afresh, so a
+/// count means nothing outside its incarnation; ordering lexicographically
+/// makes any mark of a newer incarnation outrank the old ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct StoreMark {
+    /// Manager takeovers before the mark was taken.
+    pub incarnation: u64,
+    /// The store's change counter at the mark.
+    pub changes: u64,
 }
 
 /// One server's scheduled partition from the manager: both directions of
@@ -703,6 +727,11 @@ pub struct ManagerConfig {
     /// reapportioning survivors can never push the fleet over budget
     /// while the missing node decays toward the same floor.
     pub floor: Watts,
+    /// Ship the whole profile store on every downlink instead of the
+    /// delta past each server's ack. Agents end up holding the same
+    /// entries either way (the delta protocol is tested against this
+    /// one); full re-broadcast just costs store size × servers per wave.
+    pub full_profile_broadcast: bool,
 }
 
 impl Default for ManagerConfig {
@@ -713,6 +742,7 @@ impl Default for ManagerConfig {
             checkpoint_interval_steps: 20,
             reapportion_after_steps: 60,
             floor: Watts::new(50.0),
+            full_profile_broadcast: false,
         }
     }
 }
@@ -857,11 +887,14 @@ struct Manager {
     state: ManagerState,
     checkpoint: Option<ManagerState>,
     /// Fleet knowledge plane: the manager's replica of every published
-    /// profile, rebroadcast to the agents with each downlink wave.
+    /// profile; each downlink carries what changed past the server's ack.
     store: Option<ProfileStore>,
-    /// JSON snapshot of the store taken with each state checkpoint, so
-    /// the resilient standby restores fleet knowledge on takeover.
-    store_checkpoint: Option<String>,
+    /// Per-server acknowledged store change count, in this incarnation.
+    profiles_acked: Vec<u64>,
+    /// Copy of the store taken with a state checkpoint when it changed
+    /// since the last one, so the resilient standby restores fleet
+    /// knowledge on takeover.
+    store_checkpoint: Option<ProfileStore>,
     /// Fleet flight recorder (`None` when fleet recording is off).
     fleet: Option<ManagerFleet>,
     membership_dirty: bool,
@@ -886,6 +919,7 @@ impl Manager {
             state: ManagerState::initial(servers, initial_share, apportionment),
             checkpoint: None,
             store,
+            profiles_acked: vec![0; servers],
             store_checkpoint: None,
             fleet: None,
             membership_dirty: false,
@@ -917,16 +951,19 @@ impl Manager {
         };
         if let Some(store) = self.store.as_mut() {
             // The standby's knowledge plane: the resilient flavor
-            // restores the checkpointed snapshot (and re-learns anything
+            // restores the checkpointed store (and re-learns anything
             // newer from subsequent uplinks); the naive flavor boots an
             // empty store and must recollect the whole fleet's profiles.
+            // Either store counts changes afresh, so every ack of the
+            // dead incarnation is void: the first wave ships it whole.
             let config = store.config();
             *store = self
                 .store_checkpoint
-                .as_deref()
+                .as_ref()
                 .filter(|_| self.resilient)
-                .and_then(ProfileStore::from_json)
+                .map(ProfileStore::restored)
                 .unwrap_or_else(|| ProfileStore::new(config));
+            self.profiles_acked.fill(0);
         }
         // The fleet timeline lives (or dies) with the apportionment
         // state: the resilient standby resumes from the checkpointed
@@ -975,8 +1012,12 @@ impl Manager {
             fleet.obs.set_epoch(self.state.epoch);
         }
         for up in plane.poll_up() {
-            if let (Some(store), false) = (self.store.as_mut(), up.profiles.is_empty()) {
+            if let Some(store) = self.store.as_mut() {
                 store.merge_digests(&up.profiles);
+                if up.profiles_acked.incarnation == self.failovers {
+                    let acked = &mut self.profiles_acked[up.server];
+                    *acked = (*acked).max(up.profiles_acked.changes);
+                }
             }
             if let (Some(fleet), Some(digest)) = (self.fleet.as_mut(), up.journal.as_ref()) {
                 fleet.fold_uplink(up.server, digest);
@@ -1063,7 +1104,12 @@ impl Manager {
             && step.is_multiple_of(self.config.checkpoint_interval_steps)
         {
             self.checkpoint = Some(self.state.clone());
-            self.store_checkpoint = self.store.as_ref().map(ProfileStore::snapshot_json);
+            if let Some(store) = self.store.as_ref() {
+                let changes = self.store_checkpoint.as_ref().map(ProfileStore::changes);
+                if changes != Some(store.changes()) {
+                    self.store_checkpoint = Some(store.clone());
+                }
+            }
             if let Some(fleet) = self.fleet.as_mut() {
                 fleet.checkpoint = Some(FleetCheckpoint {
                     timeline: fleet.timeline.mark(),
@@ -1120,22 +1166,32 @@ impl Manager {
     }
 
     fn broadcast(&self, plane: &mut ControlPlane, repair: bool) {
-        // Every downlink wave carries the manager's full digest set:
-        // merge idempotence makes the redundancy free of harm, and it is
-        // what lets a healed partition catch up within one heartbeat.
-        let profiles = self
-            .store
-            .as_ref()
-            .map(ProfileStore::digests)
-            .unwrap_or_default();
+        // Each downlink carries the store entries that changed since the
+        // server's acked mark. A dropped or partitioned downlink leaves
+        // the ack behind, so the next delivered one carries everything
+        // missed: a healed partition catches up within one heartbeat.
+        let through = StoreMark {
+            incarnation: self.failovers,
+            changes: self.store.as_ref().map_or(0, ProfileStore::changes),
+        };
         for i in 0..self.servers {
+            let since = if self.config.full_profile_broadcast {
+                0
+            } else {
+                self.profiles_acked[i]
+            };
             plane.send_down(
                 i,
                 Downlink {
                     epoch: self.state.epoch,
                     cap: self.state.caps[i],
                     repair,
-                    profiles: profiles.clone(),
+                    profiles: self
+                        .store
+                        .as_ref()
+                        .map(|store| store.digests_since(since))
+                        .unwrap_or_default(),
+                    profiles_through: through,
                     // Ack watermarks ride the existing waves: a dropped
                     // downlink just means the agent re-ships a digest
                     // the idempotent merge dedups for free.
@@ -1446,7 +1502,16 @@ pub fn run_cluster_observed(
     options: &ControlOptions,
     obs: Option<&Obs>,
 ) -> ResilienceReport {
-    run_cluster_inner(mixes, policy, trace, dt, options, obs, None)
+    run_cluster_inner(
+        mixes,
+        policy,
+        trace,
+        dt,
+        options,
+        obs,
+        None,
+        &mut |_, _, _| {},
+    )
 }
 
 /// [`run_cluster`] with the *fleet* flight recorder on: every server
@@ -1464,9 +1529,22 @@ pub fn run_cluster_flight_recorded(
     options: &ControlOptions,
     fleet: &FleetObsOptions,
 ) -> ResilienceReport {
-    run_cluster_inner(mixes, policy, trace, dt, options, None, Some(fleet))
+    run_cluster_inner(
+        mixes,
+        policy,
+        trace,
+        dt,
+        options,
+        None,
+        Some(fleet),
+        &mut |_, _, _| {},
+    )
 }
 
+/// The one run loop behind every `run_cluster*` entry point.
+/// `on_delivery(step, server, agent)` sees each agent right after it
+/// handled the downlinks delivered to it that step.
+#[allow(clippy::too_many_arguments)]
 fn run_cluster_inner(
     mixes: &[Mix],
     policy: ManagedPolicy,
@@ -1475,6 +1553,7 @@ fn run_cluster_inner(
     options: &ControlOptions,
     obs: Option<&Obs>,
     fleet: Option<&FleetObsOptions>,
+    on_delivery: &mut dyn FnMut(u64, usize, &ServerAgent),
 ) -> ResilienceReport {
     let spec = ServerSpec::xeon_e5_2620();
     let servers = mixes.len();
@@ -1624,6 +1703,9 @@ fn run_cluster_inner(
             if plane.node_up(i) {
                 let msgs = plane.poll_down(i);
                 agent.receive(&msgs);
+                if !msgs.is_empty() {
+                    on_delivery(step, i, agent);
+                }
             } else {
                 plane.discard_due_downlinks(i);
             }
@@ -1669,6 +1751,7 @@ fn run_cluster_inner(
                     sent_step: step,
                     net_power: report.net_power,
                     profiles: agent.take_profile_digests(),
+                    profiles_acked: agent.profiles_through(),
                     app_shares: if options.estimation.is_some() {
                         agent.estimated_shares()
                     } else {
@@ -2204,6 +2287,123 @@ mod tests {
         // The drift re-measurement ran fresh probes even though the
         // first admission had already covered the schedule.
         assert!(report.probe_split.measured() > 0);
+    }
+
+    /// Every agent's store after each delivered downlink: `(step,
+    /// server, fingerprint and profile per entry)`.
+    type DeliveryLog = Vec<(u64, usize, Vec<ProfileDigest>)>;
+
+    fn same_stores(a: &[ProfileDigest], b: &[ProfileDigest]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.fingerprint == y.fingerprint && x.profile.same_bits(&y.profile))
+    }
+
+    #[test]
+    fn profile_deltas_hold_what_full_broadcast_would() {
+        // The delta protocol against the full re-broadcast it replaces,
+        // under drops, delays (reordering), node crash/restart, a
+        // partition and a manager failover, in both flavors: after each
+        // delivered downlink every agent holds the reference store bit
+        // for bit. Servers 0 and 1 share a mix, so they share entries.
+        let trace = short_trace(3);
+        let mixes = vec![
+            mixes::mix(1).unwrap(),
+            mixes::mix(1).unwrap(),
+            mixes::mix(2).unwrap(),
+        ];
+        let lossy = |seed| ClusterFaultConfig {
+            downlink_drop_prob: 0.2,
+            downlink_delay_max_steps: 3,
+            uplink_drop_prob: 0.2,
+            uplink_delay_max_steps: 3,
+            node_crash_prob: 0.02,
+            node_down_steps: 8,
+            manager_crash_step: Some(75),
+            manager_takeover_steps: 6,
+            ..ClusterFaultConfig::none(seed)
+        };
+        let cut = |seed| ClusterFaultConfig {
+            partitions: vec![PartitionWindow {
+                server: 1,
+                from_step: 10,
+                until_step: 60,
+            }],
+            manager_crash_step: Some(30),
+            manager_takeover_steps: 4,
+            ..lossy(seed)
+        };
+        let mut saw = [false; 4];
+        for resilient in [true, false] {
+            for faults in [lossy(3), lossy(17), cut(8)] {
+                let run = |full_profile_broadcast: bool| {
+                    let options = ControlOptions {
+                        resilient,
+                        faults: faults.clone(),
+                        manager: ManagerConfig {
+                            full_profile_broadcast,
+                            ..ManagerConfig::default()
+                        },
+                        warm_start: Some(WarmStartOptions {
+                            drift_at: vec![(25, 0), (65, 0), (90, 2)],
+                            ..WarmStartOptions::warm()
+                        }),
+                        ..ControlOptions::perfect(faults.seed)
+                    };
+                    let mut log = DeliveryLog::new();
+                    let report = run_cluster_inner(
+                        &mixes,
+                        ManagedPolicy::equal_ours(),
+                        &trace,
+                        DT,
+                        &options,
+                        None,
+                        None,
+                        &mut |step, i, agent| log.push((step, i, agent.store_digests())),
+                    );
+                    (report, log)
+                };
+                let (delta, delta_log) = run(false);
+                let (full, full_log) = run(true);
+                let case = format!("resilient {resilient}, {faults:?}");
+                assert_eq!(delta_log.len(), full_log.len(), "{case}");
+                for (d, f) in delta_log.iter().zip(&full_log) {
+                    assert_eq!((d.0, d.1), (f.0, f.1), "{case}");
+                    assert!(
+                        same_stores(&d.2, &f.2),
+                        "{case}: step {} server {}",
+                        d.0,
+                        d.1
+                    );
+                }
+                assert_eq!(delta.trace_digest, full.trace_digest, "{case}");
+                assert_eq!(delta.store_divergence, full.store_divergence, "{case}");
+                assert_eq!(delta.probe_split, full.probe_split, "{case}");
+                assert_eq!(
+                    delta.report.aggregate_normalized_perf.to_bits(),
+                    full.report.aggregate_normalized_perf.to_bits(),
+                    "{case}"
+                );
+                // The one difference: agents merge (and so re-touch for
+                // LRU) only the entries that changed, not the whole store
+                // every wave. Recency orders evictions alone, and none
+                // happen while the store fits its capacity.
+                let (ds, fs) = (delta.store_stats, full.store_stats);
+                assert!(ds.merges <= fs.merges, "{case}: {ds:?} vs {fs:?}");
+                assert_eq!(fs.evictions, 0, "{case}");
+                assert_eq!(
+                    ProfileStoreStats { merges: 0, ..ds },
+                    ProfileStoreStats { merges: 0, ..fs },
+                    "{case}"
+                );
+                saw[0] |= delta.stats.node_restarts > 0;
+                saw[1] |= delta.stats.manager_failovers > 0 && ds.invalidations > 0;
+                saw[2] |= delta.stats.downlinks_delayed > 0 && delta.stats.downlinks_dropped > 0;
+                saw[3] |= ds.merges < fs.merges;
+            }
+        }
+        assert_eq!(saw, [true; 4], "every fault kind exercised, merges saved");
     }
 
     #[test]

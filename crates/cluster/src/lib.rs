@@ -50,7 +50,7 @@ pub mod trace;
 pub use agent::{AgentConfig, ServerAgent};
 pub use control::{
     ClusterFaultConfig, ControlOptions, ControlPlane, FleetObsOptions, FleetObsReport,
-    ManagedPolicy, ManagerConfig, PartitionWindow, ResilienceReport,
+    ManagedPolicy, ManagerConfig, PartitionWindow, ResilienceReport, StoreMark,
 };
 pub use manager::{ClusterManager, ClusterPolicy, ClusterReport};
 pub use trace::ClusterPowerTrace;

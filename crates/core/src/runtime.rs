@@ -278,6 +278,14 @@ impl Defense {
     }
 }
 
+/// Folds the sparse rows of store digests into the completion corpus
+/// (the first row seen per fingerprint wins; tombstones carry none).
+fn seed_corpus_rows(calibrator: &mut Calibrator, digests: &[ProfileDigest]) {
+    for d in digests {
+        let _ = calibrator.seed_sparse_row(d.fingerprint, &d.profile.samples);
+    }
+}
+
 /// Fleet profile knowledge-plane state
 /// ([`PowerMediator::with_profile_store`]).
 #[derive(Debug)]
@@ -539,7 +547,13 @@ impl PowerMediator {
     /// them, fresh measurements are republished as versioned digests
     /// (drain with [`Self::take_store_outbox`]), and E4 drift
     /// tombstones the entry fleet-wide.
+    ///
+    /// The store's entries seed the completion corpus right away (call
+    /// after [`Self::with_online_calibration`], which resets it): a
+    /// rebooted node's restored store is knowledge the fleet will not
+    /// send again, since manager deltas carry only what changed since.
     pub fn with_profile_store(mut self, store: ProfileStore, server_id: u64) -> Self {
+        seed_corpus_rows(&mut self.calibrator, &store.digests());
         self.knowledge = Some(Knowledge {
             store,
             outbox: Vec::new(),
@@ -624,13 +638,7 @@ impl PowerMediator {
             return 0;
         };
         let changed = k.store.merge_digests(digests);
-        for d in digests {
-            if !d.profile.is_tombstone() {
-                let _ = self
-                    .calibrator
-                    .seed_sparse_row(d.fingerprint, &d.profile.samples);
-            }
-        }
+        seed_corpus_rows(&mut self.calibrator, digests);
         changed
     }
 
@@ -2670,6 +2678,27 @@ mod tests {
         let split = med.probe_split();
         assert_eq!(split.warm, 0, "post-tombstone lookup must miss");
         assert_eq!(split.skipped, 0);
+    }
+
+    #[test]
+    fn a_restored_store_seeds_the_completion_corpus() {
+        // An app the catalog corpus lacks, learned by the fleet: its
+        // sparse row enters a rebooted node's corpus when the restored
+        // store is attached, since the manager never re-sends it.
+        let corpus: Vec<AppProfile> = catalog::all()
+            .into_iter()
+            .filter(|p| p.name() != "x264")
+            .collect();
+        let mut sim_a = sim_no_esd();
+        let mut med_a = mediator(PolicyKind::AppResAware, 100.0)
+            .with_online_calibration(&corpus, 0.10)
+            .with_profile_store(ProfileStore::default(), 1);
+        med_a.admit(&mut sim_a, catalog::x264()).unwrap();
+        let restored = ProfileStore::from_json(&med_a.store_snapshot_json().unwrap()).unwrap();
+        let med_b = mediator(PolicyKind::AppResAware, 100.0).with_online_calibration(&corpus, 0.10);
+        let before = med_b.calibrator.corpus_size();
+        let med_b = med_b.with_profile_store(restored, 2);
+        assert_eq!(med_b.calibrator.corpus_size(), before + 1);
     }
 
     #[test]

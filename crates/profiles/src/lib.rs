@@ -20,9 +20,9 @@
 //!   score, and provenance;
 //! * [`store::ProfileStore`] — bounded, mergeable store with confidence
 //!   decay, E4 tombstone invalidation, LRU eviction that spares the
-//!   highest-confidence entry, and bit-identical JSON snapshot/restore
-//!   (which is how the manager checkpoint and crash-surviving agent
-//!   state carry it);
+//!   highest-confidence entry, a change counter for shipping deltas,
+//!   and bit-identical JSON snapshot/restore (which is how
+//!   crash-surviving agent state carries it);
 //! * [`store::ProfileDigest`] — the store entry as it rides the cluster
 //!   control plane's epoch-stamped messages;
 //! * [`store::ProbeSplit`] — cold / warm / skipped probe accounting.

@@ -7,9 +7,15 @@
 //! deterministically no matter the order, duplication, or delay the
 //! (faulty) network imposes. Merge is therefore the max of a *total*
 //! order over profiles — version first, then confidence, then richness,
-//! then provenance, with a canonical-serialization tie-break — which
-//! makes it commutative, associative and idempotent: every replica that
-//! has seen the same set of digests holds the same entries, bit for bit.
+//! then provenance, with a canonical-serialization tie-break and a final
+//! bit-pattern tie-break — which makes it commutative, associative and
+//! idempotent: every replica that has seen the same set of digests holds
+//! the same entries, bit for bit.
+//!
+//! Every change to an entry stamps it with the store's change counter
+//! ([`ProfileStore::changes`]), so a replica that knows how far a peer
+//! has caught up ships only what changed since
+//! ([`ProfileStore::digests_since`]) instead of the whole store.
 //!
 //! Staleness is handled two ways. Gradually, an entry's *effective*
 //! confidence decays geometrically with the number of epochs since it
@@ -102,11 +108,18 @@ impl StoredProfile {
     }
 
     /// The total order behind merge: later version, then higher
-    /// confidence, then more samples, then later/bigger provenance, with
-    /// the canonical serialization breaking any remaining tie so merge
-    /// is deterministic even between structurally different profiles
-    /// that agree on everything else.
+    /// confidence, then more samples, then later/bigger provenance, then
+    /// the canonical serialization, so merge is deterministic even
+    /// between structurally different profiles that agree on everything
+    /// else. The canonical form prints every NaN alike, so the last key
+    /// is the fields' bit patterns: two replicas rank `Equal` only when
+    /// they are bit-identical. That is also checked first — identical
+    /// replicas are what a converged fleet merges almost every time, and
+    /// they must not pay for two serializations.
     fn rank(&self, other: &Self) -> std::cmp::Ordering {
+        if self.same_bits(other) {
+            return std::cmp::Ordering::Equal;
+        }
         self.version
             .cmp(&other.version)
             .then(self.confidence.total_cmp(&other.confidence))
@@ -114,6 +127,50 @@ impl StoredProfile {
             .then(self.provenance.epoch.cmp(&other.provenance.epoch))
             .then(self.provenance.server.cmp(&other.provenance.server))
             .then_with(|| self.canonical().cmp(&other.canonical()))
+            .then_with(|| self.words().cmp(other.words()))
+    }
+
+    /// Bit-for-bit identity, every float compared by its bits (unlike
+    /// `==`, under which `-0.0 == 0.0` and a NaN never equals itself).
+    pub fn same_bits(&self, other: &Self) -> bool {
+        let f = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        let row = |a: &FoldedRow, b: &FoldedRow| {
+            f(a.bias(), b.bias())
+                && a.factors().len() == b.factors().len()
+                && a.factors().iter().zip(b.factors()).all(|(x, y)| f(*x, *y))
+        };
+        self.version == other.version
+            && f(self.confidence, other.confidence)
+            && self.provenance == other.provenance
+            && self.samples.len() == other.samples.len()
+            && self
+                .samples
+                .iter()
+                .zip(&other.samples)
+                .all(|(a, b)| a.col == b.col && f(a.power_w, b.power_w) && f(a.perf, b.perf))
+            && row(&self.power_row, &other.power_row)
+            && row(&self.perf_row, &other.perf_row)
+    }
+
+    /// Every field as raw bits, lengths included, in declaration order:
+    /// equal sequences mean bit-identical profiles, and comparing them
+    /// orders profiles that the canonical form cannot tell apart.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let p = &self.provenance;
+        [
+            self.version,
+            self.confidence.to_bits(),
+            self.samples.len() as u64,
+        ]
+        .into_iter()
+        .chain(
+            self.samples
+                .iter()
+                .flat_map(|s| [s.col as u64, s.power_w.to_bits(), s.perf.to_bits()]),
+        )
+        .chain(row_words(&self.power_row))
+        .chain(row_words(&self.perf_row))
+        .chain([p.server, p.epoch, p.probes])
     }
 
     /// Merges two replicas of the same fingerprint: the max of the total
@@ -126,13 +183,21 @@ impl StoredProfile {
         }
     }
 
-    /// Approximate in-memory footprint, for the `bytes` gauge.
-    fn approx_bytes(&self) -> u64 {
+    /// Approximate in-memory footprint of a store entry holding this
+    /// profile (the profile plus 16 bytes of key and recency), for the
+    /// `bytes` gauge.
+    fn entry_bytes(&self) -> u64 {
         let fixed = 7 * 8; // version, confidence, provenance, two biases
         let samples = self.samples.len() * 24;
         let rows = (self.power_row.factors().len() + self.perf_row.factors().len()) * 8;
-        (fixed + samples + rows) as u64
+        (fixed + samples + rows + 16) as u64
     }
+}
+
+fn row_words(row: &FoldedRow) -> impl Iterator<Item = u64> + '_ {
+    [row.bias().to_bits(), row.factors().len() as u64]
+        .into_iter()
+        .chain(row.factors().iter().map(|f| f.to_bits()))
 }
 
 /// A store entry in transit: the fingerprint plus the full profile.
@@ -170,6 +235,8 @@ impl Default for StoreConfig {
 struct Entry {
     profile: StoredProfile,
     touch: u64,
+    /// The store's change counter right after this entry last changed.
+    changed: u64,
 }
 
 /// Probe accounting split by how the probe points were satisfied.
@@ -211,6 +278,8 @@ pub struct ProfileStore {
     config: StoreConfig,
     epoch: u64,
     clock: u64,
+    /// Bumped on every entry change; see [`ProfileStore::changes`].
+    changes: u64,
     entries: BTreeMap<AppFingerprint, Entry>,
     stats: ProfileStoreStats,
 }
@@ -228,6 +297,7 @@ impl ProfileStore {
             config,
             epoch: 0,
             clock: 0,
+            changes: 0,
             entries: BTreeMap::new(),
             stats: ProfileStoreStats::default(),
         }
@@ -264,6 +334,28 @@ impl ProfileStore {
         self.stats
     }
 
+    /// The change counter: bumped whenever an entry is inserted or its
+    /// profile changes (a merge won by the incoming replica, a
+    /// tombstone). Only a store's own history orders it — a restored
+    /// store restarts the count from its entries, and another replica's
+    /// counter means nothing here.
+    pub fn changes(&self) -> u64 {
+        self.changes
+    }
+
+    /// The same entries, recency and epoch with the event counters
+    /// restarted from zero (the bytes gauge describes the data and is
+    /// kept): what a process that restores this store holds.
+    pub fn restored(&self) -> Self {
+        Self {
+            stats: ProfileStoreStats {
+                bytes: self.stats.bytes,
+                ..ProfileStoreStats::default()
+            },
+            ..self.clone()
+        }
+    }
+
     /// Confidence after age decay:
     /// `confidence × decay^(store_epoch − measured_epoch)`.
     pub fn effective_confidence(&self, profile: &StoredProfile) -> f64 {
@@ -276,28 +368,44 @@ impl ProfileStore {
     }
 
     /// Inserts or merges a profile. Returns `true` if the stored entry
-    /// changed (new entry, or the incoming replica won the merge).
+    /// changed bits (new entry, or the incoming replica won the merge).
     pub fn publish(&mut self, fingerprint: AppFingerprint, profile: StoredProfile) -> bool {
+        self.offer(fingerprint, &profile)
+    }
+
+    /// [`ProfileStore::publish`] by reference: the profile is cloned
+    /// only when it is stored.
+    fn offer(&mut self, fingerprint: AppFingerprint, profile: &StoredProfile) -> bool {
         self.clock += 1;
         let touch = self.clock;
         let changed = match self.entries.get_mut(&fingerprint) {
             Some(entry) => {
                 self.stats.merges += 1;
                 entry.touch = touch;
-                let before = entry.profile.clone();
-                let merged = before.clone().merge(profile);
-                let changed = merged != before;
-                entry.profile = merged;
-                changed
+                let wins = profile.rank(&entry.profile) == std::cmp::Ordering::Greater;
+                if wins {
+                    self.stats.bytes -= entry.profile.entry_bytes();
+                    self.stats.bytes += profile.entry_bytes();
+                    self.changes += 1;
+                    entry.profile = profile.clone();
+                    entry.changed = self.changes;
+                }
+                wins
             }
             None => {
                 self.stats.inserts += 1;
-                self.entries.insert(fingerprint, Entry { profile, touch });
+                self.stats.bytes += profile.entry_bytes();
+                self.changes += 1;
+                let entry = Entry {
+                    profile: profile.clone(),
+                    touch,
+                    changed: self.changes,
+                };
+                self.entries.insert(fingerprint, entry);
                 true
             }
         };
         self.evict_to_capacity();
-        self.refresh_bytes();
         changed
     }
 
@@ -306,7 +414,7 @@ impl ProfileStore {
     pub fn merge_digests(&mut self, digests: &[ProfileDigest]) -> usize {
         digests
             .iter()
-            .filter(|d| self.publish(d.fingerprint, d.profile.clone()))
+            .filter(|d| self.offer(d.fingerprint, &d.profile))
             .count()
     }
 
@@ -352,22 +460,33 @@ impl ProfileStore {
         if !entry.profile.is_tombstone() {
             self.stats.invalidations += 1;
         }
+        // One version past the stored replica, the tombstone always wins.
         let tomb = StoredProfile::tombstone(entry.profile.version + 1, self.epoch);
-        entry.profile = entry.profile.clone().merge(tomb);
+        self.stats.bytes -= entry.profile.entry_bytes();
+        self.stats.bytes += tomb.entry_bytes();
+        entry.profile = tomb;
         self.clock += 1;
         entry.touch = self.clock;
-        let digest = ProfileDigest {
+        self.changes += 1;
+        entry.changed = self.changes;
+        Some(ProfileDigest {
             fingerprint,
             profile: entry.profile.clone(),
-        };
-        self.refresh_bytes();
-        Some(digest)
+        })
     }
 
     /// Every entry as a digest, in fingerprint order.
     pub fn digests(&self) -> Vec<ProfileDigest> {
+        self.digests_since(0)
+    }
+
+    /// The entries that changed after the change counter read `since`,
+    /// as digests in fingerprint order. A replica that has merged this
+    /// store's entries as of `since` converges with it by merging these.
+    pub fn digests_since(&self, since: u64) -> Vec<ProfileDigest> {
         self.entries
             .iter()
+            .filter(|(_, e)| e.changed > since)
             .map(|(fp, e)| ProfileDigest {
                 fingerprint: *fp,
                 profile: e.profile.clone(),
@@ -395,22 +514,14 @@ impl ProfileStore {
                 .filter(|(fp, _)| Some(**fp) != protected)
                 .min_by(|(fa, a), (fb, b)| a.touch.cmp(&b.touch).then(fa.cmp(fb)))
                 .map(|(fp, _)| *fp);
-            match victim {
-                Some(fp) => {
-                    self.entries.remove(&fp);
+            match victim.and_then(|fp| self.entries.remove(&fp)) {
+                Some(entry) => {
+                    self.stats.bytes -= entry.profile.entry_bytes();
                     self.stats.evictions += 1;
                 }
                 None => break, // capacity 0 with one protected entry
             }
         }
-    }
-
-    fn refresh_bytes(&mut self) {
-        self.stats.bytes = self
-            .entries
-            .values()
-            .map(|e| e.profile.approx_bytes() + 16)
-            .sum();
     }
 
     /// Serializes the store (entries, recency, epoch, tuning — not the
@@ -463,17 +574,18 @@ impl ProfileStore {
                 JsonValue::Str(hex) => AppFingerprint::from_raw(u64::from_str_radix(hex, 16).ok()?),
                 _ => return None,
             };
+            let profile = parse_profile(item.get("profile")?)?;
+            store.stats.bytes += profile.entry_bytes();
+            // The snapshot carries no change history: every restored
+            // entry counts as one change, in fingerprint order.
+            store.changes += 1;
             let entry = Entry {
-                profile: parse_profile(item.get("profile")?)?,
+                profile,
                 touch: item.get("touch")?.as_u64()?,
+                changed: store.changes,
             };
             store.entries.insert(fp, entry);
         }
-        store.refresh_bytes();
-        store.stats = ProfileStoreStats {
-            bytes: store.stats.bytes,
-            ..ProfileStoreStats::default()
-        };
         Some(store)
     }
 }
@@ -750,6 +862,109 @@ mod tests {
         // Counters restart; the bytes gauge reflects the restored data.
         assert_eq!(restored.stats().inserts, 0);
         assert_eq!(restored.stats().bytes, store.stats().bytes);
+    }
+
+    #[test]
+    fn merge_is_commutative_by_bits_when_only_a_nan_sign_differs() {
+        // The canonical form prints both NaNs as "NaN", so only the
+        // bit-pattern tie-break can order these two replicas.
+        let mut a = profile(1, 0.9, 0);
+        a.samples[0].power_w = f64::NAN;
+        let mut b = a.clone();
+        b.samples[0].power_w = -f64::NAN;
+        assert_eq!(a.canonical(), b.canonical());
+        let ab = a.clone().merge(b.clone()).samples[0].power_w.to_bits();
+        let ba = b.merge(a).samples[0].power_w.to_bits();
+        assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn publish_reports_a_change_only_when_bits_change() {
+        let mut store = ProfileStore::default();
+        let mut p = profile(1, 0.9, 0);
+        p.samples[0].power_w = f64::NAN;
+        assert!(store.publish(fp(1), p.clone()));
+        // Bit-identical (NaN included): no change, though `!=` says so.
+        assert!(!store.publish(fp(1), p.clone()));
+        // `-0.0 == 0.0`, but the bits differ: `0` outranks `-0` in the
+        // canonical form, so the positive zero replaces the negative.
+        let mut neg = profile(1, 0.9, 0);
+        neg.perf_row = FoldedRow::new(-0.0, vec![0.0]);
+        let mut pos = neg.clone();
+        pos.perf_row = FoldedRow::new(0.0, vec![0.0]);
+        assert!(store.publish(fp(2), neg.clone()));
+        assert!(store.publish(fp(2), pos));
+        assert!(!store.publish(fp(2), neg));
+        assert_eq!(store.stats().merges, 3);
+    }
+
+    #[test]
+    fn digests_since_ships_only_what_changed() {
+        let mut store = ProfileStore::default();
+        assert_eq!(store.changes(), 0);
+        store.publish(fp(1), profile(1, 0.9, 0));
+        store.publish(fp(2), profile(1, 0.7, 0));
+        let mark = store.changes();
+        assert_eq!(mark, 2);
+        // A losing or identical replica is no change.
+        store.publish(fp(1), profile(1, 0.5, 0));
+        store.publish(fp(2), profile(1, 0.7, 0));
+        assert_eq!(store.changes(), mark);
+        assert!(store.digests_since(mark).is_empty());
+        store.publish(fp(2), profile(2, 0.7, 0));
+        store.invalidate(fp(1));
+        store.publish(fp(3), profile(1, 0.6, 0));
+        let delta: Vec<u64> = store
+            .digests_since(mark)
+            .iter()
+            .map(|d| d.fingerprint.value())
+            .collect();
+        assert_eq!(delta, [1, 2, 3], "fingerprint order");
+        assert_eq!(store.digests_since(0), store.digests());
+        // A replica as of `mark` converges on the delta alone.
+        let mut replica = ProfileStore::default();
+        replica.publish(fp(1), profile(1, 0.9, 0));
+        replica.publish(fp(2), profile(1, 0.7, 0));
+        replica.merge_digests(&store.digests_since(mark));
+        assert_eq!(replica.digests(), store.digests());
+    }
+
+    #[test]
+    fn running_bytes_match_a_fresh_sum() {
+        let mut store = ProfileStore::new(StoreConfig {
+            capacity: 2,
+            ..StoreConfig::default()
+        });
+        store.publish(fp(1), profile(1, 0.9, 0));
+        store.publish(fp(2), profile(1, 0.4, 0));
+        store.publish(fp(2), StoredProfile::tombstone(3, 0));
+        store.publish(fp(3), profile(1, 0.5, 0));
+        store.invalidate(fp(1));
+        assert_eq!(store.stats().evictions, 1);
+        let restored = ProfileStore::from_json(&store.snapshot_json()).unwrap();
+        assert_eq!(restored.stats().bytes, store.stats().bytes);
+        let sum: u64 = store
+            .digests()
+            .iter()
+            .map(|d| d.profile.entry_bytes())
+            .sum();
+        assert_eq!(store.stats().bytes, sum);
+    }
+
+    #[test]
+    fn restored_keeps_the_data_and_restarts_the_counters() {
+        let mut store = ProfileStore::default();
+        store.set_epoch(4);
+        store.publish(fp(1), profile(1, 0.9, 0));
+        store.publish(fp(1), profile(1, 0.9, 0));
+        let _ = store.confident(fp(1));
+        let restored = store.restored();
+        assert_eq!(restored.snapshot_json(), store.snapshot_json());
+        assert_eq!(restored.changes(), store.changes());
+        let json = ProfileStore::from_json(&store.snapshot_json()).unwrap();
+        assert_eq!(restored.stats(), json.stats());
+        assert_eq!(restored.stats().merges, 0);
+        assert!(restored.stats().bytes > 0);
     }
 
     #[test]

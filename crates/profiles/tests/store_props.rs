@@ -45,37 +45,110 @@ fn profile_from(
     }
 }
 
-/// One profile draw, nested in pairs because the shim's tuple
-/// strategies stop at arity 4: `((version, confidence), (samples,
-/// server, epoch))`.
-type Draw = ((u64, f64), (usize, u64, u64));
+/// Float bit patterns that `==` and the canonical serialization get
+/// wrong: both signed zeros, and NaNs of either sign with two payloads
+/// (the canonical form prints every NaN as `NaN`).
+const ODD: [u64; 6] = [
+    0x0000_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x7ff8_0000_0000_0000,
+    0xfff8_0000_0000_0000,
+    0x7ff8_0000_0000_0001,
+    0xfff8_0000_0000_0001,
+];
+
+/// Overwrites one float field with an [`ODD`] value: `odd / 6` picks
+/// the field (confidence, first sample's power, power-row bias,
+/// perf-row first factor), `odd % 6` the value; `odd >= 24` leaves the
+/// profile alone.
+fn with_odd(mut p: StoredProfile, odd: u64) -> StoredProfile {
+    let Some(&bits) = ODD.get((odd % 6) as usize).filter(|_| odd < 24) else {
+        return p;
+    };
+    let v = f64::from_bits(bits);
+    match odd / 6 {
+        0 => p.confidence = v,
+        1 => {
+            if let Some(s) = p.samples.first_mut() {
+                s.power_w = v;
+            }
+        }
+        2 => p.power_row = FoldedRow::new(v, p.power_row.factors().to_vec()),
+        _ => {
+            let mut factors = p.perf_row.factors().to_vec();
+            factors[0] = v;
+            p.perf_row = FoldedRow::new(p.perf_row.bias(), factors);
+        }
+    }
+    p
+}
+
+/// Every field of a profile as raw bits, lengths included: equal
+/// vectors mean bit-identical profiles (unlike `PartialEq`, under which
+/// a NaN-bearing profile is not even equal to itself).
+fn bits(p: &StoredProfile) -> Vec<u64> {
+    let mut out = vec![p.version, p.confidence.to_bits(), p.samples.len() as u64];
+    for s in &p.samples {
+        out.extend([s.col as u64, s.power_w.to_bits(), s.perf.to_bits()]);
+    }
+    for row in [&p.power_row, &p.perf_row] {
+        out.extend([row.bias().to_bits(), row.factors().len() as u64]);
+        out.extend(row.factors().iter().map(|f| f.to_bits()));
+    }
+    out.extend([p.provenance.server, p.provenance.epoch, p.provenance.probes]);
+    out
+}
+
+/// One profile draw, nested because the shim's tuple strategies stop
+/// at arity 4: `((version, confidence, odd), (samples, server, epoch))`.
+type Draw = ((u64, f64, u64), (usize, u64, u64));
 
 fn drawn(d: Draw) -> StoredProfile {
-    profile_from(d.0 .0, d.0 .1, d.1 .0, d.1 .1, d.1 .2)
+    let ((version, confidence, odd), (samples, server, epoch)) = d;
+    with_odd(
+        profile_from(version, confidence, samples, server, epoch),
+        odd,
+    )
 }
 
 #[allow(clippy::type_complexity)]
 const DRAW: (
-    (std::ops::Range<u64>, std::ops::RangeInclusive<f64>),
+    (
+        std::ops::Range<u64>,
+        std::ops::RangeInclusive<f64>,
+        std::ops::Range<u64>,
+    ),
     (
         std::ops::Range<usize>,
         std::ops::Range<u64>,
         std::ops::Range<u64>,
     ),
-) = ((0u64..4, 0.0f64..=1.0), (0usize..5, 0u64..6, 0u64..3));
+) = (
+    (0u64..4, 0.0f64..=1.0, 0u64..36),
+    (0usize..5, 0u64..6, 0u64..3),
+);
 
 proptest! {
     #[test]
     fn merge_is_commutative(a in DRAW, b in DRAW) {
         let pa = drawn(a);
         let pb = drawn(b);
-        prop_assert_eq!(pa.clone().merge(pb.clone()), pb.merge(pa));
+        prop_assert_eq!(bits(&pa.clone().merge(pb.clone())), bits(&pb.merge(pa)));
+    }
+
+    #[test]
+    fn merge_is_commutative_between_odd_variants(a in DRAW, odd in 0u64..36) {
+        // Two replicas that differ in one odd float only: the canonical
+        // form cannot order a NaN sign or payload, the bits must.
+        let pa = drawn(a);
+        let pb = with_odd(pa.clone(), odd);
+        prop_assert_eq!(bits(&pa.clone().merge(pb.clone())), bits(&pb.merge(pa)));
     }
 
     #[test]
     fn merge_is_idempotent(a in DRAW) {
         let pa = drawn(a);
-        prop_assert_eq!(pa.clone().merge(pa.clone()), pa);
+        prop_assert_eq!(bits(&pa.clone().merge(pa.clone())), bits(&pa));
     }
 
     #[test]
@@ -84,8 +157,8 @@ proptest! {
         let pb = drawn(b);
         let pc = drawn(c);
         prop_assert_eq!(
-            pa.clone().merge(pb.clone()).merge(pc.clone()),
-            pa.merge(pb.merge(pc))
+            bits(&pa.clone().merge(pb.clone()).merge(pc.clone())),
+            bits(&pa.merge(pb.merge(pc)))
         );
     }
 
